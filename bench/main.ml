@@ -15,18 +15,17 @@ let all_ids =
   [
     "fig1"; "tab1"; "fig7"; "fig8"; "fig9"; "fig10"; "tab2"; "fig11";
     "ablation"; "cpu"; "delta"; "sim_scale"; "fault_matrix"; "wire_size";
-    "net_throughput"; "divergence_sweep"; "recovery_time";
+    "divergence_sweep"; "recovery_time";
   ]
 
 let usage () =
   Printf.printf
     "usage: main.exe [--quick|--paper] [--json] [%s ...]\n(fig11 also prints \
      Fig 12; no ids = run everything; --json makes `delta` / `sim_scale` / \
-     `fault_matrix` / `wire_size` / `net_throughput` / `divergence_sweep` / \
-     `recovery_time` write BENCH_delta_kernels.json / BENCH_sim_scale.json / \
+     `fault_matrix` / `wire_size` / `divergence_sweep` / `recovery_time` \
+     write BENCH_delta_kernels.json / BENCH_sim_scale.json / \
      BENCH_fault_matrix.json / BENCH_wire_size.json / \
-     BENCH_net_throughput.json / BENCH_divergence_sweep.json / \
-     BENCH_recovery_time.json)\n"
+     BENCH_divergence_sweep.json / BENCH_recovery_time.json)\n"
     (String.concat "|" all_ids)
 
 let () =
@@ -85,11 +84,6 @@ let () =
         | "wire_size" ->
             Wire_size.run ~quick
               ?json_path:(if json then Some "BENCH_wire_size.json" else None)
-              ()
-        | "net_throughput" ->
-            Net_throughput.run ~quick
-              ?json_path:
-                (if json then Some "BENCH_net_throughput.json" else None)
               ()
         | "divergence_sweep" ->
             Divergence_sweep.run ~quick

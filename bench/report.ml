@@ -30,10 +30,9 @@ let table ~header rows =
     (String.make (List.fold_left ( + ) (2 * (cols - 1)) widths) '-');
   List.iter print_row rows
 
-(* Host identity stamped into every BENCH_*.json: gates that select
-   their acceptance condition by the recorded core count (and readers
-   comparing artifacts across machines) need the provenance in the
-   artifact itself, not in whoever remembers which box ran it. *)
+(* Host identity stamped into every BENCH_*.json: readers comparing
+   artifacts across machines need the provenance in the artifact
+   itself, not in whoever remembers which box ran it. *)
 let host_os () =
   let uname () =
     try

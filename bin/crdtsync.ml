@@ -53,7 +53,7 @@ let domains_arg =
           "Worker domains for the parallel engine (1 = sequential). Any \
            value yields bit-identical results; speedups need as many cores.")
 
-(* Shared --domains validation (micro, retwis, serve): a non-positive
+(* Shared --domains validation (micro and retwis): a non-positive
    width is an error; oversubscribing the machine is legal (results are
    width-independent) but earns a warning since it can only slow the
    run down. *)
@@ -525,10 +525,9 @@ let parse_peer s =
   | None -> invalid_arg (Printf.sprintf "--peer wants ID=ADDR, got %S" s)
 
 let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
-    max_ticks lockstep no_batch domains evloop fanout_min data_dir
-    checkpoint_every fsync state_out metrics_out trace_out verbose =
+    max_ticks lockstep data_dir checkpoint_every fsync state_out metrics_out
+    trace_out verbose =
   try
-    validate_domains domains;
     let module S = (val Registry.find_crdt crdt) in
     (match S.excluded protocol with
     | Some reason ->
@@ -596,10 +595,6 @@ let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
         quiet_ticks;
         max_ticks;
         lockstep;
-        batch = not no_batch;
-        domains;
-        evloop;
-        fanout_min;
         verbose;
       }
     in
@@ -675,10 +670,10 @@ let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
         in
         write_file path
           (Printf.sprintf
-             "{\"cmd\":\"serve\",\"crdt\":\"%s\",\"protocol\":\"%s\",\"node\":%d,\"ticks\":%d,\"clean\":%b,\"exit_reason\":\"%s\",\"writes\":%d,\"wall_s\":%.6f,\"tick_p99_us\":%.1f,\"domains\":%d,\"evloop\":\"%s\"%s,\"totals\":%s}\n"
+             "{\"cmd\":\"serve\",\"crdt\":\"%s\",\"protocol\":\"%s\",\"node\":%d,\"ticks\":%d,\"clean\":%b,\"exit_reason\":\"%s\",\"writes\":%d,\"wall_s\":%.6f,\"tick_p99_us\":%.1f,\"evloop\":\"%s\"%s,\"totals\":%s}\n"
              crdt protocol id res.R.ticks res.R.clean
              (Crdt_net.Runtime.stop_reason_name res.R.stop)
-             res.R.writes res.R.wall_s res.R.tick_p99_us domains res.R.backend
+             res.R.writes res.R.wall_s res.R.tick_p99_us res.R.backend
              recovery_json (counters_totals_json res.R.counters)));
     if res.R.clean then 0 else 1
   with
@@ -758,46 +753,6 @@ let serve_cmd =
              state-digest unanimity, and the round structure matches the \
              simulator's exactly.")
   in
-  let no_batch =
-    Arg.(
-      value & flag
-      & info [ "no-batch" ]
-          ~doc:
-            "Disable per-peer write coalescing: one write(2) per message \
-             (the pre-batching data path), for throughput comparison. \
-             Wire bytes are identical either way.")
-  in
-  let evloop =
-    let evloop_conv =
-      Arg.conv
-        ( (fun s ->
-            match Crdt_net.Evloop_epoll.choice_of_string s with
-            | Ok c -> Ok c
-            | Error m -> Error (`Msg m)),
-          fun ppf c ->
-            Format.pp_print_string ppf
-              (Crdt_net.Evloop_epoll.choice_to_string c) )
-    in
-    Arg.(
-      value & opt evloop_conv `Auto
-      & info [ "evloop" ] ~docv:"BACKEND"
-          ~doc:
-            "Readiness backend: $(b,select) (portable), $(b,epoll) (Linux), \
-             or $(b,auto) (epoll where available).  Observable behaviour — \
-             wire bytes, lockstep rounds — is identical either way.")
-  in
-  let fanout_min =
-    Arg.(
-      value
-      & opt int (Crdt_net.Runtime.default_config ~id:0
-                   ~listen:(Crdt_net.Addr.Tcp ("127.0.0.1", 0)) ~peers:[]
-                   ~total:1).Crdt_net.Runtime.fanout_min
-      & info [ "fanout-min" ] ~docv:"N"
-          ~doc:
-            "Minimum protocol messages in a pass before codec work fans out \
-             to the --domains pool; smaller passes stay inline (tuning \
-             knob, mostly for tests).")
-  in
   let data_dir =
     Arg.(
       value & opt (some string) None
@@ -840,9 +795,8 @@ let serve_cmd =
        ~doc:"Run one live replica over real sockets (lib/net runtime)")
     Term.(
       const run_serve $ id $ listen $ peers $ crdt $ protocol $ ops $ tick_ms
-      $ quiet_ticks $ max_ticks $ lockstep $ no_batch $ domains_arg $ evloop
-      $ fanout_min $ data_dir $ checkpoint_every $ fsync $ state_out
-      $ metrics_out_arg $ trace_out_arg $ verbose)
+      $ quiet_ticks $ max_ticks $ lockstep $ data_dir $ checkpoint_every
+      $ fsync $ state_out $ metrics_out_arg $ trace_out_arg $ verbose)
 
 (* -- partition ---------------------------------------------------------- *)
 

@@ -1,5 +1,5 @@
 (** The parallel execution layer: a Domain work-pool plus the sharded
-    Driver scheduler every transport shares.
+    Driver scheduler the simulator runs on.
 
     {!Pool} is the raw barrier primitive (moved here from the
     simulator, which grew it in PR 2): [size - 1] resident worker
@@ -10,8 +10,9 @@
     way the simulator always has — tick-by-source, handle-by-
     destination — so the partitioning, the per-shard {!Trace} counting
     sinks and the deterministic shard-order outbox merge live in one
-    place and both the simulator ([Crdt_sim.Runner]) and the socket
-    runtime ([Crdt_net.Runtime]) are clients of the same scheduler.
+    place.  The simulator ([Crdt_sim.Runner]) is its client; the socket
+    runtime ([Crdt_net.Runtime]) is not — it runs one Driver on one
+    domain and uses neither the pool nor the scheduler.
 
     {2 Determinism contract}
 

@@ -1,6 +1,6 @@
-(** The parallel execution layer shared by every transport: a Domain
-    work-pool ({!Pool}) plus the sharded Driver scheduler ({!Make})
-    that partitions tick-by-source / handle-by-destination with
+(** The simulator's parallel execution layer: a Domain work-pool
+    ({!Pool}) plus the sharded Driver scheduler ({!Make}) that
+    partitions tick-by-source / handle-by-destination with
     deterministic shard-order merges.
 
     Shard [s] of [w] owns the contiguous node range [s·n/w, (s+1)·n/w).

@@ -6,10 +6,9 @@
     staged bytes out with as few [write(2)] calls as the kernel will
     take.  A short write or [EAGAIN] is not an error — the remainder
     stays queued ({!pending_out} reports how much) and the event loop
-    drains it when the fd turns writable.  {!send} is the eager
-    compatibility path: stage one frame, flush immediately (one write
-    per message — the pre-batching behavior, kept for control frames
-    and the [--no-batch] measurement mode).
+    drains it when the fd turns writable.  {!send} is the eager path:
+    stage one frame, flush immediately — what the runtime uses for the
+    Hello that opens a dialed connection.
 
     Buffer ownership: the staging buffer and the payload scratch belong
     to the connection and are reused for its whole lifetime; the only

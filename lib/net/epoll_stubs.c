@@ -3,8 +3,8 @@
  * plain ints the Unix library represents them as on POSIX systems.
  *
  * Non-Linux builds compile the #else branch: crdt_epoll_available
- * reports false and the other entry points fail loudly, so --evloop
- * auto falls back to select portably and --evloop epoll errors out.
+ * reports false and the other entry points fail loudly, so
+ * Evloop_epoll.loop falls back to select.
  */
 
 #include <caml/mlvalues.h>

@@ -98,7 +98,6 @@ end
 type t = Loop : (module BACKEND with type t = 'a) * 'a -> t
 
 let make (module B : BACKEND) = Loop ((module B), B.create ())
-let create () = Loop ((module Select), Select.create ())
 let backend_name (Loop ((module B), _)) = B.name
 let add (Loop ((module B), s)) ?read fd = B.add s ?read fd
 let remove (Loop ((module B), s)) fd = B.remove s fd

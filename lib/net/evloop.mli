@@ -9,7 +9,7 @@
 
     The interface is deliberately the intersection of [select] and
     [epoll] semantics, so a Linux epoll backend drops in behind
-    {!create} without touching the runtime:
+    {!make} without touching the runtime:
 
     - interest is level-triggered (a readable fd keeps reporting until
       drained — the runtime reads one chunk per wakeup);
@@ -20,8 +20,9 @@
     Two backends exist: the portable [select] backend here (the right
     floor for clusters of ≤ tens of fds) and the Linux [epoll] backend
     in [Evloop_epoll], which drops in behind {!make} and removes the
-    O(fds) scan once fd counts grow.  The runtime picks one per
-    [--evloop select|epoll|auto]. *)
+    O(fds) scan once fd counts grow.  The runtime runs on epoll where
+    the platform has it and on select elsewhere
+    ([Evloop_epoll.loop]). *)
 
 (** A pluggable readiness backend.  Implementations must tolerate
     idempotent calls: adding a registered fd, removing an unknown one,
@@ -66,11 +67,8 @@ type t
 
 val make : (module BACKEND) -> t
 (** An event loop over an explicit backend (how [Evloop_epoll] plugs
-    in without a dependency cycle). *)
-
-val create : unit -> t
-(** An event loop over the portable {!Select} backend.  Callers that
-    want epoll-where-available go through [Evloop_epoll.loop]. *)
+    in without a dependency cycle).  The runtime builds its loop with
+    [Evloop_epoll.loop]. *)
 
 val backend_name : t -> string
 val add : t -> ?read:bool -> Unix.file_descr -> unit

@@ -142,22 +142,6 @@ module Epoll : Evloop.BACKEND = struct
     raw_close t.ep
 end
 
-type choice = [ `Select | `Epoll | `Auto ]
-
-let choice_of_string = function
-  | "select" -> Ok `Select
-  | "epoll" -> Ok `Epoll
-  | "auto" -> Ok `Auto
-  | s -> Error (Printf.sprintf "unknown event-loop backend %S" s)
-
-let choice_to_string = function
-  | `Select -> "select"
-  | `Epoll -> "epoll"
-  | `Auto -> "auto"
-
-let loop : choice -> Evloop.t = function
-  | `Select -> Evloop.make (module Evloop.Select)
-  | `Epoll -> Evloop.make (module Epoll)
-  | `Auto ->
-      if available () then Evloop.make (module Epoll)
-      else Evloop.make (module Evloop.Select)
+let loop () =
+  if available () then Evloop.make (module Epoll)
+  else Evloop.make (module Evloop.Select)

@@ -1,5 +1,6 @@
-(** Linux epoll backend for the {!Evloop} seam, plus the backend
-    choice the CLI exposes as [--evloop select|epoll|auto].
+(** Linux epoll backend for the {!Evloop} seam, and the loop the
+    runtime runs on: epoll where the platform has it, select where it
+    does not.
 
     The backend keeps select-equal observable behaviour so the runtime
     is byte-identical under either loop:
@@ -13,7 +14,7 @@
       never becomes a busy spin.
 
     On non-Linux platforms the C stubs report {!available}[ () = false]
-    and [`Auto] falls back to the portable select backend. *)
+    and {!loop} falls back to the portable select backend. *)
 
 val available : unit -> bool
 (** [true] iff this build carries a working epoll (Linux). *)
@@ -21,13 +22,6 @@ val available : unit -> bool
 module Epoll : Evloop.BACKEND
 (** The epoll backend.  [create] fails if {!available} is [false]. *)
 
-type choice = [ `Select | `Epoll | `Auto ]
-(** CLI-selectable backend: [`Auto] means epoll where available,
-    select otherwise. *)
-
-val choice_of_string : string -> (choice, string) result
-val choice_to_string : choice -> string
-
-val loop : choice -> Evloop.t
-(** Build an event loop for [choice].  [`Epoll] on a platform without
-    epoll fails; [`Auto] never does. *)
+val loop : unit -> Evloop.t
+(** An event loop over {!Epoll} when {!available}, over
+    {!Evloop.Select} otherwise. *)

@@ -29,39 +29,24 @@
     syscall.  Short writes and [EAGAIN] queue the remainder on the
     connection; the event loop watches the fd for writability and
     drains it.  Batching changes only how many syscalls carry the
-    bytes, never the bytes: frame encoding is shared with the eager
-    path, which the sim-vs-socket byte-equality test pins.  [batch =
-    false] in the config restores one write per message (the
-    [--no-batch] baseline the throughput bench measures against).
+    bytes, never the bytes.  In lockstep mode it makes the write count
+    exact: one Hello per peer, then per round one write carrying the
+    round's messages and Mark and one carrying its Digest.
 
-    {2 Codec fan-out ([--domains N])}
-
-    With [domains > 1] the serve loop attaches the engine's Domain pool
-    ({!Crdt_engine.Shard.Pool}) and moves the {e codec} work — the CPU
-    component of the data path — onto it: the ship phase defers its
-    shipments and a flush groups them per destination, encoding each
-    peer's group into that connection's staging buffer on a worker
-    domain ({!stage_pending}); inbound message payloads are predecoded
-    on the pool before the sequential dispatch consumes them in arrival
-    order.  All socket I/O, the event loop, and the Driver state
-    machine stay on the calling domain, so observable behaviour — the
-    byte stream on every connection, the trace accounting, lockstep's
-    round attribution — is identical at every width; only the domain
-    that ran [encode]/[decode] changes.  Passes smaller than
-    [fanout_min] messages skip the pool: waking it costs more than the
-    codec work it would absorb.
+    Everything runs on the calling domain: socket I/O, the codec and
+    the Driver state machine.
 
     {2 Wall-clock mode}
 
-    The loop is an {!Evloop} — backend per [--evloop]: the portable
-    [select], or Linux [epoll] ({!Evloop_epoll}) — over the listening
-    socket, all
-    inbound connections, and any outbound connection with queued bytes,
-    with a periodic tick (the protocol's synchronization interval):
-    each tick applies the workload operations due, runs the driver's
-    tick and stages the outbound messages; inbound frames are decoded
-    and delivered through the driver, whose replies are staged and
-    flushed with the same pass.
+    The loop is an {!Evloop} — epoll where the platform has it
+    ({!Evloop_epoll}), the portable select elsewhere — over the
+    listening socket, all inbound connections, and any outbound
+    connection with queued bytes, with a periodic tick (the protocol's
+    synchronization interval): each tick applies the workload
+    operations due, runs the driver's tick and stages the outbound
+    messages; inbound frames are decoded and delivered through the
+    driver as they are read, and their replies are staged and flushed
+    with the same pass.
 
     Replicas stop by mutual agreement rather than a wall clock.  A node
     is {e busy} while it still has operations to apply or its CRDT state
@@ -100,8 +85,6 @@
     sim-vs-socket cross-check in the test suite. *)
 
 module Trace = Crdt_engine.Trace
-module Dynbuf = Crdt_engine.Dynbuf
-module Pool = Crdt_engine.Shard.Pool
 
 (* Frame kinds on the wire (the Frame layer's dispatch byte). *)
 let kind_hello = 0
@@ -141,21 +124,6 @@ type config = {
           peer would otherwise take ages to exhaust [max_ticks]. *)
   dial_timeout_s : float;  (** how long to retry dialing each peer. *)
   lockstep : bool;  (** round-barrier mode instead of wall-clock ticks. *)
-  batch : bool;
-      (** coalesce outbound frames into one write per peer per loop
-          pass (default); [false] restores one write per message. *)
-  domains : int;
-      (** width of the codec fan-out pool (the engine's Domain pool):
-          with [domains > 1] and [batch] on, per-peer frame encoding
-          and inbound message decoding run on worker domains.  I/O and
-          the driver state machine stay on the calling domain, so the
-          bytes on each connection are identical at every width. *)
-  evloop : Evloop_epoll.choice;
-      (** readiness backend: select, epoll, or epoll-where-available. *)
-  fanout_min : int;
-      (** below this many staged/queued protocol messages a pass keeps
-          its codec work inline — fanning out a handful of frames costs
-          more in pool wake-ups than it saves. *)
   verbose : bool;
 }
 
@@ -172,10 +140,6 @@ let default_config ~id ~listen ~peers ~total =
     max_wall_s = 0.;
     dial_timeout_s = 10.;
     lockstep = false;
-    batch = true;
-    domains = 1;
-    evloop = `Auto;
-    fanout_min = 32;
     verbose = false;
   }
 
@@ -228,8 +192,8 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
             lockstep mode (rounds there are barrier-, not work-,
             bound). *)
     backend : string;
-        (** the readiness backend that actually ran ("select" or
-            "epoll") — what [`Auto] resolved to. *)
+        (** the readiness backend that ran: "epoll" where the
+            platform has it, "select" elsewhere. *)
     clean : bool;
         (** whether the run terminated by agreement (mutual [Done] /
             digest unanimity) rather than a failsafe or a signal. *)
@@ -275,19 +239,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
         (** (round, peer id) ↦ its (ops_done, digest). *)
     mutable pending_out : (int * P.message) list;
         (** lockstep replies buffered for the next round, reversed. *)
-    (* Codec fan-out (domains > 1): the pool plus the reusable staging
-       that carries work to it. *)
-    pool : Pool.t;
-    pending_ship : (int * P.message) Dynbuf.t;
-        (** batched-mode shipments deferred for {!stage_pending}'s
-            per-peer parallel encode, production order. *)
-    ship_order : int Dynbuf.t;
-        (** destinations in first-appearance order (the group list a
-            fan-out pass partitions). *)
-    ship_groups : (int, P.message Dynbuf.t) Hashtbl.t;
-        (** destination ↦ its pending messages, production order. *)
-    frames : (inbound * (int * string)) Dynbuf.t;
-        (** frames collected by one pump pass, arrival order. *)
   }
 
   let log st fmt =
@@ -358,9 +309,9 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
           st.to_bury <- j :: st.to_bury
         end
 
-  (* Stage one protocol message on [dest]'s connection right now (the
-     batched data path's encode). *)
-  let stage_now st dest msg =
+  (* Ship one protocol message to [dest]: stage it on the peer's
+     connection; the loop flushes once per pass. *)
+  let ship st dest msg =
     match Hashtbl.find_opt st.out dest with
     | None ->
         if st.cfg.lockstep then
@@ -373,96 +324,12 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
           log st "dropping message to dead peer %d" dest
     | Some conn -> Conn.stage_value conn ~kind:kind_message P.message_codec msg
 
-  (* Ship one protocol message to [dest].  Batched mode stages it on the
-     peer's connection — deferred to {!stage_pending} when a fan-out
-     pool is attached, immediately otherwise; either way the loop
-     flushes once per pass.  Unbatched mode stages + flushes immediately
-     (one write per message, the pre-batching path kept for
-     measurement). *)
-  let ship st dest msg =
-    if st.cfg.batch then
-      if Pool.size st.pool > 1 then Dynbuf.push st.pending_ship (dest, msg)
-      else stage_now st dest msg
-    else
-      match Hashtbl.find_opt st.out dest with
-      | None ->
-          if st.cfg.lockstep then
-            failwith (Printf.sprintf "no connection to peer %d" dest)
-          else log st "dropping message to dead peer %d" dest
-      | Some conn ->
-          let payload = Crdt_wire.Codec.encode_to_string P.message_codec msg in
-          Conn.stage conn ~kind:kind_message payload;
-          flush_peer st dest conn
+  let flush_all st = Hashtbl.iter (fun j conn -> flush_peer st j conn) st.out
 
-  (* Drain the deferred shipments onto their connections.  The frames
-     bound for one peer are grouped in production order and each group
-     is encoded into its own connection's staging buffer, so groups are
-     disjoint and the pool can encode them on different domains — the
-     per-connection byte stream is identical to the sequential path's,
-     only the domain that ran [encode] changes.  Small passes (fewer
-     than [fanout_min] messages, or fewer than two destinations) stay
-     inline: waking the pool costs more than encoding a handful of
-     frames.  Dead destinations take the sequential path's fate
-     (lockstep: hard error; wall-clock: logged drop) while grouping,
-     before any parallel work starts. *)
-  let stage_pending st =
-    if not (Dynbuf.is_empty st.pending_ship) then begin
-      let many = Dynbuf.length st.pending_ship >= st.cfg.fanout_min in
-      if (not many) || Pool.size st.pool = 1 then
-        Dynbuf.iter (fun (dest, msg) -> stage_now st dest msg) st.pending_ship
-      else begin
-        Dynbuf.iter
-          (fun (dest, msg) ->
-            match Hashtbl.find_opt st.ship_groups dest with
-            | Some q -> Dynbuf.push q msg
-            | None ->
-                if Hashtbl.mem st.out dest then begin
-                  let q = Dynbuf.create () in
-                  Dynbuf.push q msg;
-                  Hashtbl.replace st.ship_groups dest q;
-                  Dynbuf.push st.ship_order dest
-                end
-                else if st.cfg.lockstep then
-                  failwith (Printf.sprintf "no connection to peer %d" dest)
-                else log st "dropping message to dead peer %d" dest)
-          st.pending_ship;
-        let groups = Dynbuf.length st.ship_order in
-        let width = Pool.size st.pool in
-        if groups < 2 then
-          Dynbuf.iter
-            (fun dest ->
-              let conn = Hashtbl.find st.out dest in
-              Dynbuf.iter
-                (Conn.stage_value conn ~kind:kind_message P.message_codec)
-                (Hashtbl.find st.ship_groups dest))
-            st.ship_order
-        else
-          Pool.run st.pool (fun s ->
-              let g = ref s in
-              while !g < groups do
-                let dest = Dynbuf.get st.ship_order !g in
-                let conn = Hashtbl.find st.out dest in
-                Dynbuf.iter
-                  (Conn.stage_value conn ~kind:kind_message P.message_codec)
-                  (Hashtbl.find st.ship_groups dest);
-                g := !g + width
-              done);
-        Hashtbl.reset st.ship_groups;
-        Dynbuf.clear st.ship_order
-      end;
-      Dynbuf.clear st.pending_ship
-    end
-
-  (* Deferred shipments are staged at the top of both flush entry
-     points, so on every connection protocol messages precede whatever
-     control frame the pass appends — the FIFO order (and lockstep's
-     mark-counting round attribution) is the sequential path's. *)
-  let flush_all st =
-    stage_pending st;
-    Hashtbl.iter (fun j conn -> flush_peer st j conn) st.out
-
+  (* The control frame is staged behind any protocol messages already
+     staged this pass, so the FIFO order — and lockstep's mark-counting
+     round attribution — holds on every connection. *)
   let broadcast st ~kind payload ~ignore_dead =
-    stage_pending st;
     Hashtbl.iter
       (fun j conn ->
         Conn.stage conn ~kind payload;
@@ -559,9 +426,8 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
 
   (* Wall-clock frame dispatch: messages go straight through the driver,
      replies ship immediately.  [tick] is the current tick number, used
-     as the trace round.  [pre] is the frame's pool-predecoded message,
-     when the pump's fan-out pass produced one. *)
-  let handle_frame_wallclock st ~tick ib (kind, payload) pre =
+     as the trace round. *)
+  let handle_frame_wallclock st ~tick ib (kind, payload) =
     if kind = kind_hello then begin
       let j = decode_id payload in
       ib.peer := Some j;
@@ -580,21 +446,17 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     end
     else if kind = kind_message then begin
       let src = src_of ib in
-      let msg =
-        match pre with Some m -> m | None -> decode_message ~src payload
-      in
       D.deliver st.drv ~round:tick ~src
         ~emit:(fun ~dest m -> ship st dest m)
-        msg
+        (decode_message ~src payload)
     end
     else failwith (Printf.sprintf "unknown frame kind %d" kind)
 
   (* Lockstep frame dispatch: messages are queued under the round the
      connection's mark count implies; marks and digests update the
      barrier bookkeeping.  Nothing is delivered here — the round loop
-     drains the queue once the mark barrier is complete (and runs the
-     decode fan-out there, so the pump never predecodes in this mode). *)
-  let handle_frame_lockstep st ib (kind, payload) (_ : P.message option) =
+     drains the queue once the mark barrier is complete. *)
+  let handle_frame_lockstep st ib (kind, payload) =
     if kind = kind_hello then ib.peer := Some (decode_id payload)
     else if kind = kind_message then begin
       let src = src_of ib in
@@ -630,47 +492,14 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     else if kind = kind_done then ()
     else failwith (Printf.sprintf "unknown frame kind %d" kind)
 
-  (* Pool-predecode the message frames of one pump pass: decoding needs
-     no per-connection state, so the payloads can be parsed on worker
-     domains while the sequential dispatch that follows consumes the
-     results in arrival order.  A payload that fails to decode is left
-     [None]; the dispatcher re-decodes it to raise the error with the
-     source attributed (the Hello naming the source may itself sit
-     earlier in this very batch, so the worker cannot name it). *)
-  let predecode_frames st =
-    let n = Dynbuf.length st.frames in
-    let pre = Array.make n None in
-    let messages = ref 0 in
-    Dynbuf.iter
-      (fun (_, (kind, _)) -> if kind = kind_message then incr messages)
-      st.frames;
-    if !messages >= st.cfg.fanout_min && Pool.size st.pool > 1 then begin
-      let width = Pool.size st.pool in
-      Pool.run st.pool (fun s ->
-          let k = ref s in
-          while !k < n do
-            let _, (kind, payload) = Dynbuf.get st.frames !k in
-            if kind = kind_message then begin
-              match Crdt_wire.Codec.decode_string P.message_codec payload with
-              | Ok msg -> pre.(!k) <- Some msg
-              | Error _ -> ()
-            end;
-            k := !k + width
-          done)
-    end;
-    pre
-
   (* One event-loop pass: accept new connections, read every readable
-     inbound connection into the frame buffer, drain outbound
-     connections whose fds turned writable, prune connections the peers
-     closed (unregistering their fds — the former leak: a closed
-     connection used to stay in the list and be selected forever), then
-     dispatch the collected frames in arrival order — predecoding
-     message payloads on the pool first when [predecode] is set and the
-     batch is worth the wake-up.  Returns whether any frame was
+     inbound connection and dispatch its frames as they arrive, drain
+     outbound connections whose fds turned writable, then prune
+     connections the peers closed.  Returns whether any frame was
      processed. *)
-  let pump ?(predecode = false) st ~timeout ~dispatch =
+  let pump st ~timeout ~dispatch =
     let readable, writable = Evloop.wait st.loop ~timeout in
+    let progressed = ref false in
     List.iter
       (fun fd ->
         if fd == st.listener then begin
@@ -689,10 +518,17 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
           | Some ib -> (
               match Conn.recv ib.conn with
               | Ok frames ->
-                  List.iter (fun f -> Dynbuf.push st.frames (ib, f)) frames
+                  List.iter
+                    (fun f ->
+                      progressed := true;
+                      dispatch ib f)
+                    frames
               | Error `Closed ->
                   (* Peers close their dialed connections when they
-                     exit; drop the connection below. *)
+                     exit.  [recv] closed the fd: unregister it now, not
+                     at the prune below — an accept later in this pass
+                     may be handed the same fd number. *)
+                  Evloop.remove st.loop fd;
                   log st "inbound connection closed"
               | Error (`Bad e) ->
                   failwith
@@ -707,27 +543,9 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
           (fun j conn -> if Conn.fd conn == fd then flush_peer st j conn)
           st.out)
       writable;
-    if List.exists (fun ib -> not (Conn.alive ib.conn)) st.inbound then begin
-      List.iter
-        (fun ib ->
-          if not (Conn.alive ib.conn) then Evloop.remove st.loop (Conn.fd ib.conn))
-        st.inbound;
-      st.inbound <- List.filter (fun ib -> Conn.alive ib.conn) st.inbound
-    end;
-    let progressed = not (Dynbuf.is_empty st.frames) in
-    if progressed then begin
-      let pre =
-        if predecode then predecode_frames st
-        else Array.make (Dynbuf.length st.frames) None
-      in
-      (* Dispatch may raise (framing, protocol errors): clear the
-         buffer first so a handler that recovers at a higher level
-         never sees this pass's frames replayed. *)
-      let batch = Array.init (Dynbuf.length st.frames) (Dynbuf.get st.frames) in
-      Dynbuf.clear st.frames;
-      Array.iteri (fun k (ib, f) -> dispatch ib f pre.(k)) batch
-    end;
-    progressed
+    if List.exists (fun ib -> not (Conn.alive ib.conn)) st.inbound then
+      st.inbound <- List.filter (fun ib -> Conn.alive ib.conn) st.inbound;
+    !progressed
 
   let finished st =
     st.done_sent
@@ -777,8 +595,7 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
         else t
       in
       ignore
-        (pump ~predecode:true st ~timeout
-           ~dispatch:(handle_frame_wallclock st ~tick:!n));
+        (pump st ~timeout ~dispatch:(handle_frame_wallclock st ~tick:!n));
       redial_pass st;
       let now = Unix.gettimeofday () in
       if now >= !next_tick then begin
@@ -843,11 +660,10 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
       | None -> ());
       let round = !r in
       (* Replies buffered while waiting on the previous round's barrier
-         belong to this round's wave.  In batched mode the whole wave —
-         replies, tick messages, and the Mark that bounds it — is staged
-         and leaves in the broadcast's flush, one write per peer, with
-         FIFO order (and hence the mark-counting round attribution)
-         intact. *)
+         belong to this round's wave.  The whole wave — replies, tick
+         messages, and the Mark that bounds it — is staged and leaves in
+         the broadcast's flush, one write per peer, with FIFO order (and
+         hence the mark-counting round attribution) intact. *)
       List.iter (fun (dest, m) -> ship st dest m) (List.rev st.pending_out);
       st.pending_out <- [];
       if round < st.cfg.ops_ticks then
@@ -864,38 +680,19 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
               | None -> false)
             peer_ids);
       (* The mark barrier bounds the wave: every round-[round] message
-         is queued.  Decode the wave — on the pool when it is wide
-         enough to pay for the wake-up — then deliver sequentially in
-         arrival order; replies wait for the next round. *)
+         is queued.  Deliver in arrival order; replies wait for the next
+         round. *)
       (match Hashtbl.find_opt st.msgq round with
       | None -> ()
       | Some q ->
-          let wave = Array.of_list (List.rev !q) in
           Hashtbl.remove st.msgq round;
-          let count = Array.length wave in
-          let width = Pool.size st.pool in
-          let msgs =
-            if count >= st.cfg.fanout_min && width > 1 then begin
-              let out = Array.make count None in
-              Pool.run st.pool (fun s ->
-                  let k = ref s in
-                  while !k < count do
-                    let src, payload = wave.(!k) in
-                    out.(!k) <- Some (decode_message ~src payload);
-                    k := !k + width
-                  done);
-              Array.map Option.get out
-            end
-            else
-              Array.map (fun (src, payload) -> decode_message ~src payload) wave
-          in
-          Array.iteri
-            (fun k (src, _) ->
+          List.iter
+            (fun (src, payload) ->
               D.deliver st.drv ~round ~src
                 ~emit:(fun ~dest m ->
                   st.pending_out <- (dest, m) :: st.pending_out)
-                msgs.(k))
-            wave);
+                (decode_message ~src payload))
+            (List.rev !q));
       (* Round durability point, mirroring the wall-clock tick's. *)
       D.sync_store st.drv;
       let ops_done = round + 1 >= st.cfg.ops_ticks in
@@ -957,10 +754,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
   let serve ?sink ?persist ?boot ~(equal : P.crdt -> P.crdt -> bool)
       ~(digest : P.crdt -> string) (cfg : config)
       ~(ops : tick:int -> P.crdt -> P.op list) : result =
-    if cfg.domains < 1 then
-      invalid_arg
-        (Printf.sprintf "Runtime.serve: domains must be >= 1 (got %d)"
-           cfg.domains);
     (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
     | _ -> ()
     | exception (Invalid_argument _ | Sys_error _) -> ());
@@ -989,18 +782,14 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     in
     (match boot with Some s -> D.restart_from drv s | None -> ());
     (match persist with Some f -> D.set_persist drv f | None -> ());
-    Addr.cleanup cfg.listen;
-    let listener = Unix.socket (Addr.domain cfg.listen) Unix.SOCK_STREAM 0 in
-    (match cfg.listen with
-    | Addr.Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true
-    | Addr.Unix_sock _ -> ());
-    Unix.bind listener (Addr.to_sockaddr cfg.listen);
-    Unix.listen listener 64;
-    let loop = Evloop_epoll.loop cfg.evloop in
-    Evloop.add loop ~read:true listener;
-    (* The codec fan-out pool lives exactly as long as the serve loop;
-       [with_pool] joins the worker domains even on exception. *)
-    Pool.with_pool cfg.domains @@ fun pool ->
+    let loop = Evloop_epoll.loop () in
+    let listener =
+      match Unix.socket (Addr.domain cfg.listen) Unix.SOCK_STREAM 0 with
+      | fd -> fd
+      | exception e ->
+          Evloop.close loop;
+          raise e
+    in
     let st =
       {
         cfg;
@@ -1021,13 +810,26 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
         marks_of = Hashtbl.create (List.length cfg.peers);
         digests = Hashtbl.create 8;
         pending_out = [];
-        pool;
-        pending_ship = Dynbuf.create ();
-        ship_order = Dynbuf.create ();
-        ship_groups = Hashtbl.create (List.length cfg.peers);
-        frames = Dynbuf.create ();
       }
     in
+    (* One cleanup for every exit, returned or raised (a peer that never
+       listens, a lockstep stall, a framing error): every connection,
+       the listener, the loop's own fd and the socket file. *)
+    let release () =
+      Hashtbl.iter (fun _ c -> Conn.close c) st.out;
+      List.iter (fun ib -> Conn.close ib.conn) st.inbound;
+      (try Unix.close listener with Unix.Unix_error _ -> ());
+      Evloop.close loop;
+      Addr.cleanup cfg.listen
+    in
+    Fun.protect ~finally:release @@ fun () ->
+    (match cfg.listen with
+    | Addr.Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true
+    | Addr.Unix_sock _ -> ());
+    Addr.cleanup cfg.listen;
+    Unix.bind listener (Addr.to_sockaddr cfg.listen);
+    Unix.listen listener 64;
+    Evloop.add loop ~read:true listener;
     log st "listening on %s" (Addr.to_string cfg.listen);
     (* Dial-all barrier: every peer must be reachable before the first
        tick, so no protocol message is ever emitted into the void. *)
@@ -1040,12 +842,9 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     (* Last durability point: deliveries since the final tick. *)
     D.sync_store drv;
     let wall_s = Unix.gettimeofday () -. t_start in
-    (* Anything still deferred for the fan-out must reach the
-       connections before the drain below. *)
-    stage_pending st;
     (* Final drain: a frame queued behind a full socket buffer (a slow
-       peer under free-running ticks) must not be discarded by the
-       close below — the Done broadcast travels on this queue, and a
+       peer under free-running ticks) must not be discarded by the close
+       in [release] — the Done broadcast travels on this queue, and a
        peer that never sees it waits until its max_ticks.  Switch each
        still-loaded connection to blocking with a send timeout and push
        the remainder out; a dead peer just errors and is dropped. *)
@@ -1064,12 +863,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     let writes =
       Hashtbl.fold (fun _ c acc -> acc + Conn.writes c) st.out 0
     in
-    Hashtbl.iter (fun _ c -> Conn.close c) st.out;
-    List.iter (fun ib -> Conn.close ib.conn) st.inbound;
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    let backend = Evloop.backend_name loop in
-    Evloop.close loop;
-    Addr.cleanup cfg.listen;
     counters.ops_applied <- D.ops_applied drv;
     counters.memory_weight <- D.memory_weight drv;
     counters.memory_bytes <- D.memory_bytes drv;
@@ -1083,7 +876,7 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
       writes;
       wall_s;
       tick_p99_us = percentile st.tick_times 99 *. 1e6;
-      backend;
+      backend = Evloop.backend_name loop;
       clean = (stop = Agreement);
       stop;
     }

@@ -2,9 +2,9 @@
    over real socketpairs: write coalescing (many staged frames, one
    write(2)), partial-write queueing and draining under a congested
    socket, and dead-peer error reporting.  These pin the Conn contract
-   the runtime's event loop relies on; byte-level equality of the
-   batched and unbatched encodings is covered in test_wire.ml, and the
-   end-to-end cluster behavior in test_net_convergence.ml. *)
+   the runtime's event loop relies on, and the select and epoll event
+   loops are checked against each other over the same sockets; the
+   end-to-end cluster behavior is in test_net_convergence.ml. *)
 
 module Conn = Crdt_net.Conn
 module Frame = Crdt_wire.Frame
@@ -164,10 +164,75 @@ let recv_tests =
         Conn.close conn);
   ]
 
+(* Select and epoll must report the same readiness for the same
+   registrations: the runtime runs on epoll on Linux and on select
+   elsewhere, and behaves identically only because of this.  Each step
+   checks that both backends return the expected (readable, writable)
+   sets. *)
+let backend_equality () =
+  if not (Crdt_net.Evloop_epoll.available ()) then Alcotest.skip ();
+  let module Evloop = Crdt_net.Evloop in
+  let loops =
+    [
+      Evloop.make (module Evloop.Select);
+      Evloop.make (module Crdt_net.Evloop_epoll.Epoll);
+    ]
+  in
+  let a, a_peer = socketpair () in
+  let b, b_peer = socketpair () in
+  let c, c_peer = socketpair () in
+  let names = [ (a, "a"); (b, "b"); (c, "c") ] in
+  let label fds =
+    List.sort compare (List.map (fun fd -> List.assoc fd names) fds)
+  in
+  let step what f ~expect =
+    List.iter f loops;
+    List.iter
+      (fun loop ->
+        let r, w = Evloop.wait loop ~timeout:0.01 in
+        Alcotest.(check (pair (list string) (list string)))
+          (Printf.sprintf "%s: %s" (Evloop.backend_name loop) what)
+          expect (label r, label w))
+      loops
+  in
+  step "registered, idle"
+    (fun l ->
+      Evloop.add l a;
+      Evloop.add l ~read:false b)
+    ~expect:([], []);
+  ignore (Unix.write_substring a_peer "x" 0 1);
+  step "peer wrote" ignore ~expect:([ "a" ], []);
+  step "write interest on"
+    (fun l -> Evloop.set_write l b true)
+    ~expect:([ "a" ], [ "b" ]);
+  step "write interest off"
+    (fun l -> Evloop.set_write l b false)
+    ~expect:([ "a" ], []);
+  step "removed while readable" (fun l -> Evloop.remove l a) ~expect:([], []);
+  (* The busy-loop case: no read or write interest, peer gone.  epoll
+     reports HUP regardless of the mask; neither backend may surface
+     it. *)
+  Unix.close b_peer;
+  step "no interest, peer closed" ignore ~expect:([], []);
+  step "write interest on a closed peer"
+    (fun l -> Evloop.set_write l b true)
+    ~expect:([], [ "b" ]);
+  Unix.close c_peer;
+  step "read interest on a closed peer"
+    (fun l -> Evloop.add l c)
+    ~expect:([ "c" ], [ "b" ]);
+  List.iter Evloop.close loops;
+  List.iter Unix.close [ a; a_peer; b; c ]
+
 let () =
   Alcotest.run "conn"
     [
       ("coalescing", coalescing_tests);
       ("backpressure", backpressure_tests);
       ("recv", recv_tests);
+      ( "evloop",
+        [
+          Alcotest.test_case "select and epoll report the same readiness"
+            `Quick backend_equality;
+        ] );
     ]

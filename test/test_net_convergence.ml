@@ -123,11 +123,9 @@ let scrape_int ~key json =
 
 (* Run an [n]-replica full mesh of `crdtsync serve` processes on [crdt]
    under [protocol]; returns each replica's raw encoded final state and,
-   when [metrics] is set, the cluster's total wire bytes as reported by
-   `--metrics-out`. *)
+   when [metrics] is set, each replica's `--metrics-out` JSON line. *)
 let run_cluster ?(protocol = "delta-bp+rr") ?(lockstep = false)
-    ?(metrics = false) ?(no_batch = false) ?(domains = 1) ?evloop ?fanout_min
-    ~crdt ~n ~ops () =
+    ?(metrics = false) ~crdt ~n ~ops () =
   let exe = crdtsync () in
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -158,15 +156,7 @@ let run_cluster ?(protocol = "delta-bp+rr") ?(lockstep = false)
             "--state-out"; state i;
           ]
           @ (if lockstep then [ "--lockstep" ] else [])
-          @ (if no_batch then [ "--no-batch" ] else [])
           @ (if metrics then [ "--metrics-out"; metrics_file i ] else [])
-          @ (if domains = 1 then [] else [ "--domains"; string_of_int domains ])
-          @ (match evloop with
-            | None -> []
-            | Some b -> [ "--evloop"; b ])
-          @ (match fanout_min with
-            | None -> []
-            | Some f -> [ "--fanout-min"; string_of_int f ])
           @ peers
         in
         let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -190,15 +180,11 @@ let run_cluster ?(protocol = "delta-bp+rr") ?(lockstep = false)
         of_hex hex)
       ids
   in
-  let wire_bytes =
-    if not metrics then 0
-    else
-      List.fold_left
-        (fun acc i ->
-          acc + scrape_int ~key:"wire_bytes" (read_hex_line (metrics_file i)))
-        0 ids
+  let metrics_json =
+    if metrics then List.map (fun i -> read_hex_line (metrics_file i)) ids
+    else []
   in
-  (encodings, wire_bytes)
+  (encodings, metrics_json)
 
 let all_identical = function
   | [] | [ _ ] -> true
@@ -376,71 +362,177 @@ let sim_wire_bytes ~crdt ~protocol ~n ~ops =
    in-process simulator running the same seeded workload account the
    same wire traffic, to the byte.  Any divergence in what the shared
    driver ships or how the trace layer counts it fails this test.
-   Running it both batched (the default) and with --no-batch pins the
-   coalescing invariant: batching changes write(2) counts, never wire
-   bytes, so both modes must land on the simulator's exact total. *)
-let cross_check ?(protocol = "delta-bp+rr") ?no_batch ~crdt ~n ~ops () =
-  let encodings, socket_bytes =
-    run_cluster ~protocol ~lockstep:true ~metrics:true ?no_batch ~crdt ~n ~ops
-      ()
+
+   The same run pins write coalescing: each replica writes one Hello per
+   peer, then per round exactly two writes per peer — the round's
+   messages with its Mark, then its Digest. *)
+let cross_check ?(protocol = "delta-bp+rr") ~crdt ~n ~ops () =
+  let encodings, metrics =
+    run_cluster ~protocol ~lockstep:true ~metrics:true ~crdt ~n ~ops ()
   in
   Alcotest.(check bool)
     "all replicas encode byte-identically" true (all_identical encodings);
+  let socket_bytes =
+    List.fold_left (fun acc m -> acc + scrape_int ~key:"wire_bytes" m) 0 metrics
+  in
   Alcotest.(check bool) "sockets moved bytes" true (socket_bytes > 0);
   let sim_bytes = sim_wire_bytes ~crdt ~protocol ~n ~ops in
   Alcotest.(check int) "simulator and sockets agree on total wire bytes"
-    sim_bytes socket_bytes
-
-(* The parallel-engine contract over real sockets: a lockstep cluster at
-   any --domains width (codec fan-out forced on with --fanout-min 1)
-   must land on byte-identical states and the exact wire-byte total of
-   the sequential run — the fan-out may only move encode/decode onto the
-   pool, never change what is shipped or when. *)
-let serve_domains_equality ?(protocol = "delta-bp+rr") ~crdt ~n ~ops () =
-  let run domains =
-    run_cluster ~protocol ~lockstep:true ~metrics:true ~domains ~fanout_min:1
-      ~crdt ~n ~ops ()
-  in
-  let base_enc, base_bytes = run 1 in
-  Alcotest.(check bool)
-    "domains=1 replicas byte-identical" true (all_identical base_enc);
-  Alcotest.(check bool) "sockets moved bytes" true (base_bytes > 0);
-  List.iter
-    (fun domains ->
-      let enc, bytes = run domains in
-      Alcotest.(check bool)
-        (Printf.sprintf "domains=%d replicas byte-identical" domains)
-        true
-        (all_identical enc);
-      Alcotest.(check string)
-        (Printf.sprintf "domains=%d state equals domains=1" domains)
-        (List.hd base_enc) (List.hd enc);
+    sim_bytes socket_bytes;
+  List.iteri
+    (fun i m ->
+      let ticks = scrape_int ~key:"ticks" m in
       Alcotest.(check int)
-        (Printf.sprintf "domains=%d wire bytes equal domains=1" domains)
-        base_bytes bytes)
-    [ 2; 4 ]
+        (Printf.sprintf "replica %d: one write per peer per Hello, Mark, Digest"
+           i)
+        ((n - 1) * (1 + (2 * ticks)))
+        (scrape_int ~key:"writes" m))
+    metrics
 
-(* Same contract across event-loop backends: epoll and select drive the
-   same runtime, so a lockstep cluster must produce identical states and
-   wire bytes under either.  Skipped where epoll is unavailable. *)
-let evloop_equality () =
-  if not (Crdt_net.Evloop_epoll.available ()) then
-    Alcotest.skip ()
-  else begin
-    let run evloop =
-      run_cluster ~lockstep:true ~metrics:true ~evloop ~crdt:"gset" ~n:3
-        ~ops:8 ()
+(* -- serve releases everything when it raises ------------------------------ *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Run [serve] in-process on a two-replica gset link whose peer lives at
+   [peer]; [poke ~listen ~peer] runs on this domain while serve runs on
+   another and must make it raise.  Afterwards the process must hold exactly the
+   fds it held before, and serve's socket file must be gone. *)
+let leak_check ~dial_timeout_s ~poke () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let module S = (val Registry.find_crdt "gset") in
+  let module P =
+    (val Registry.instantiate
+           (Registry.find_protocol "delta-bp+rr")
+           (module S.C : Crdt_proto.Protocol_intf.CRDT
+             with type t = S.C.t
+              and type op = S.C.op))
+  in
+  let module R = Crdt_net.Runtime.Make (P) in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let listen = Filename.concat dir "n0.sock"
+  and peer = Filename.concat dir "n1.sock" in
+  let baseline = open_fds () in
+  let cfg =
+    {
+      (Crdt_net.Runtime.default_config ~id:0
+         ~listen:(Crdt_net.Addr.Unix_sock listen)
+         ~peers:[ (1, Crdt_net.Addr.Unix_sock peer) ]
+         ~total:2)
+      with
+      tick_ms = 5;
+      max_wall_s = 20.;
+      dial_timeout_s;
+    }
+  in
+  let served =
+    Domain.spawn (fun () ->
+        match
+          R.serve ~equal:S.C.equal ~digest:(fun _ -> "") cfg
+            ~ops:(fun ~tick:_ _ -> [])
+        with
+        | _ -> None
+        | exception e -> Some (Printexc.to_string e))
+  in
+  poke ~listen ~peer;
+  (match Domain.join served with
+  | Some _ -> ()
+  | None -> Alcotest.fail "serve returned instead of raising");
+  Alcotest.(check int) "open fds back at their baseline" baseline (open_fds ());
+  Alcotest.(check bool) "listen socket file removed" false
+    (Sys.file_exists listen)
+
+(* The only peer never binds: dialing gives up with ENOENT. *)
+let leak_on_dial_timeout =
+  leak_check ~dial_timeout_s:0.05 ~poke:(fun ~listen:_ ~peer:_ -> ())
+
+(* The peer listens (so the dial succeeds) and then something that is not
+   a crdtsync peer writes garbage into serve's listener: the framing error
+   must also release the dialed and the accepted connection. *)
+let leak_on_framing_error =
+  leak_check ~dial_timeout_s:5. ~poke:(fun ~listen ~peer ->
+      let fake = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind fake (Unix.ADDR_UNIX peer);
+      Unix.listen fake 4;
+      let deadline = Unix.gettimeofday () +. 10. in
+      while (not (Sys.file_exists listen)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      let junk = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect junk (Unix.ADDR_UNIX listen);
+      ignore (Unix.write_substring junk "not a frame" 0 11);
+      (* Hold both ends open until serve has failed on its own. *)
+      Unix.sleepf 0.2;
+      Unix.close junk;
+      Unix.close fake)
+
+(* -- a peer that redials while the replica is not running ----------------- *)
+
+(* A closed inbound connection and the accept of its successor can land
+   in the same event-loop pass, and the kernel hands the freed fd number
+   straight to the new connection.  The replica must still read the new
+   connection — here, the Done that lets it stop cleanly.  This process
+   plays replica 1 with raw frames; SIGSTOP holds replica 0 while the
+   first connection closes and the second one dials, so both events
+   surface in one wait. *)
+let redial_same_pass () =
+  let exe = crdtsync () in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sock i = Filename.concat dir (Printf.sprintf "n%d.sock" i) in
+  let me = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind me (Unix.ADDR_UNIX (sock 1));
+  Unix.listen me 4;
+  let argv =
+    [|
+      exe; "serve";
+      "--id"; "0";
+      "--listen"; "unix:" ^ sock 0;
+      "--peer"; "1=unix:" ^ sock 1;
+      "--ops"; "0";
+      "--tick-ms"; "10";
+      "--max-ticks"; "300";
+    |]
+  in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid = Unix.create_process exe argv Unix.stdin devnull Unix.stderr in
+  Unix.close devnull;
+  let frame kind =
+    Crdt_wire.Frame.encode ~kind (Codec.encode_to_string Codec.varint 1)
+  in
+  let hello = frame 0 and done_ = frame 2 in
+  let dial () =
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec go () =
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match Unix.connect fd (Unix.ADDR_UNIX (sock 0)) with
+      | () -> fd
+      | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _)
+        when Unix.gettimeofday () < deadline ->
+          Unix.close fd;
+          Unix.sleepf 0.01;
+          go ()
     in
-    let sel_enc, sel_bytes = run "select" in
-    let ep_enc, ep_bytes = run "epoll" in
-    Alcotest.(check bool)
-      "select replicas byte-identical" true (all_identical sel_enc);
-    Alcotest.(check bool)
-      "epoll replicas byte-identical" true (all_identical ep_enc);
-    Alcotest.(check string) "epoll state equals select" (List.hd sel_enc)
-      (List.hd ep_enc);
-    Alcotest.(check int) "epoll wire bytes equal select" sel_bytes ep_bytes
-  end
+    go ()
+  in
+  let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  let first = dial () in
+  send first hello;
+  Unix.sleepf 0.1;
+  Unix.kill pid Sys.sigstop;
+  (match Unix.waitpid [ Unix.WUNTRACED ] pid with
+  | _, Unix.WSTOPPED _ -> ()
+  | _, st -> Alcotest.failf "replica did not stop: %s" (status_to_string st));
+  let second =
+    Fun.protect ~finally:(fun () -> Unix.kill pid Sys.sigcont) @@ fun () ->
+    Unix.close first;
+    let second = dial () in
+    send second (hello ^ done_);
+    second
+  in
+  wait_all ~timeout_s:20. [ pid ];
+  Unix.close second;
+  Unix.close me
 
 let () =
   Alcotest.run "net_convergence"
@@ -453,14 +545,6 @@ let () =
             gmap_test;
           Alcotest.test_case "3 Scuttlebutt replicas converge over sockets"
             `Quick scuttlebutt_test;
-          Alcotest.test_case "4 GSet replicas converge with --no-batch" `Quick
-            (fun () ->
-              let encodings, _ =
-                run_cluster ~no_batch:true ~crdt:"gset" ~n:4 ~ops:10 ()
-              in
-              Alcotest.(check bool)
-                "all replicas encode byte-identically" true
-                (all_identical encodings));
         ] );
       ( "sim-vs-socket wire bytes",
         [
@@ -470,9 +554,6 @@ let () =
           Alcotest.test_case "GMap lockstep cluster matches the simulator"
             `Quick
             (cross_check ~crdt:"gmap" ~n:3 ~ops:8);
-          Alcotest.test_case
-            "GSet lockstep --no-batch matches the simulator too" `Quick
-            (cross_check ~no_batch:true ~crdt:"gset" ~n:3 ~ops:8);
           (* Conflict-sync broadcasts a digest every tick, so this cell
              additionally pins that the lockstep barrier and the
              simulator's quiesce loop stop at the same round boundary —
@@ -482,18 +563,17 @@ let () =
             "GSet conflict-sync lockstep matches the simulator" `Quick
             (cross_check ~protocol:"conflict-sync" ~crdt:"gset" ~n:3 ~ops:8);
         ] );
-      ( "parallel serve",
+      ( "serve fd lifecycle",
         [
           Alcotest.test_case
-            "GSet delta-bp+rr lockstep: domains 1/2/4 byte-identical" `Quick
-            (serve_domains_equality ~crdt:"gset" ~n:3 ~ops:8);
+            "a dial timeout releases every fd and the socket file" `Quick
+            leak_on_dial_timeout;
           Alcotest.test_case
-            "GSet conflict-sync lockstep: domains 1/2/4 byte-identical"
-            `Quick
-            (serve_domains_equality ~protocol:"conflict-sync" ~crdt:"gset"
-               ~n:3 ~ops:8);
-          Alcotest.test_case "epoll and select move identical bytes" `Quick
-            evloop_equality;
+            "a framing error releases every fd and the socket file" `Quick
+            leak_on_framing_error;
+          Alcotest.test_case
+            "a peer that redials within one loop pass is still read" `Quick
+            redial_same_pass;
         ] );
       ( "kill -9 + restart",
         [
