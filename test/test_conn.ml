@@ -224,6 +224,16 @@ let backend_equality () =
   List.iter Evloop.close loops;
   List.iter Unix.close [ a; a_peer; b; c ]
 
+(* The runtime takes its loop from [Evloop_epoll.loop]: epoll where the
+   platform has it, select where it does not. *)
+let loop_backend () =
+  let loop = Crdt_net.Evloop_epoll.loop () in
+  Fun.protect ~finally:(fun () -> Crdt_net.Evloop.close loop) @@ fun () ->
+  Alcotest.(check string)
+    "backend"
+    (if Crdt_net.Evloop_epoll.available () then "epoll" else "select")
+    (Crdt_net.Evloop.backend_name loop)
+
 let () =
   Alcotest.run "conn"
     [
@@ -234,5 +244,7 @@ let () =
         [
           Alcotest.test_case "select and epoll report the same readiness"
             `Quick backend_equality;
+          Alcotest.test_case "the runtime loop is epoll where available"
+            `Quick loop_backend;
         ] );
     ]

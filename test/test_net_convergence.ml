@@ -393,21 +393,24 @@ let cross_check ?(protocol = "delta-bp+rr") ~crdt ~n ~ops () =
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
+(* The in-process serve checks run delta-bp+rr over gset. *)
+module S = (val Registry.find_crdt "gset")
+
+module P =
+  (val Registry.instantiate
+         (Registry.find_protocol "delta-bp+rr")
+         (module S.C : Crdt_proto.Protocol_intf.CRDT
+           with type t = S.C.t
+            and type op = S.C.op))
+
+module R = Crdt_net.Runtime.Make (P)
+
 (* Run [serve] in-process on a two-replica gset link whose peer lives at
    [peer]; [poke ~listen ~peer] runs on this domain while serve runs on
    another and must make it raise.  Afterwards the process must hold exactly the
    fds it held before, and serve's socket file must be gone. *)
 let leak_check ~dial_timeout_s ~poke () =
   if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
-  let module S = (val Registry.find_crdt "gset") in
-  let module P =
-    (val Registry.instantiate
-           (Registry.find_protocol "delta-bp+rr")
-           (module S.C : Crdt_proto.Protocol_intf.CRDT
-             with type t = S.C.t
-              and type op = S.C.op))
-  in
-  let module R = Crdt_net.Runtime.Make (P) in
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let listen = Filename.concat dir "n0.sock"
@@ -465,6 +468,54 @@ let leak_on_framing_error =
       Unix.sleepf 0.2;
       Unix.close junk;
       Unix.close fake)
+
+(* The same cleanup runs when serve returns: both replicas of a clean
+   two-replica run, in-process on two domains, agree and leave no fd and
+   no socket file behind. *)
+let release_on_clean_stop () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sock i = Filename.concat dir (Printf.sprintf "n%d.sock" i) in
+  let baseline = open_fds () in
+  let replica id =
+    let cfg =
+      {
+        (Crdt_net.Runtime.default_config ~id
+           ~listen:(Crdt_net.Addr.Unix_sock (sock id))
+           ~peers:[ (1 - id, Crdt_net.Addr.Unix_sock (sock (1 - id))) ]
+           ~total:2)
+        with
+        tick_ms = 5;
+        ops_ticks = 4;
+        max_wall_s = 20.;
+      }
+    in
+    Domain.spawn (fun () ->
+        R.serve ~equal:S.C.equal ~digest:(fun _ -> "") cfg
+          ~ops:(fun ~tick state -> S.serve_ops ~id ~tick state))
+  in
+  let running = List.map replica [ 0; 1 ] in
+  let results = List.map Domain.join running in
+  List.iteri
+    (fun i (r : R.result) ->
+      Alcotest.(check string)
+        (Printf.sprintf "replica %d stopped on agreement" i)
+        "clean"
+        (Crdt_net.Runtime.stop_reason_name r.stop))
+    results;
+  (match results with
+  | [ a; b ] ->
+      Alcotest.(check bool) "replicas converged" true (S.C.equal a.state b.state)
+  | _ -> assert false);
+  Alcotest.(check int) "open fds back at their baseline" baseline (open_fds ());
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "socket file %d removed" i)
+        false
+        (Sys.file_exists (sock i)))
+    [ 0; 1 ]
 
 (* -- a peer that redials while the replica is not running ----------------- *)
 
@@ -571,6 +622,9 @@ let () =
           Alcotest.test_case
             "a framing error releases every fd and the socket file" `Quick
             leak_on_framing_error;
+          Alcotest.test_case
+            "a clean stop releases every fd and the socket files" `Quick
+            release_on_clean_stop;
           Alcotest.test_case
             "a peer that redials within one loop pass is still read" `Quick
             redial_same_pass;
