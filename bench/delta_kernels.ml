@@ -18,20 +18,11 @@ let rng = Random.State.make [| 2024 |]
 
 (* -- timing ------------------------------------------------------------ *)
 
-(* Nanoseconds per call of [f], growing the iteration count until the
-   sample is long enough to trust Sys.time's resolution. *)
+(* Nanoseconds per call of [f], after one warm-up call, over at least
+   0.2 s of CPU. *)
 let ns_per_run f =
   ignore (f ());
-  let rec measure iters =
-    let t0 = Sys.time () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let dt = Sys.time () -. t0 in
-    if dt < 0.2 && iters < 20_000_000 then measure (iters * 4)
-    else dt /. float_of_int iters *. 1e9
-  in
-  measure 1
+  Report.cpu_per_run ~floor:0.2 f *. 1e9
 
 (* -- Δ kernels --------------------------------------------------------- *)
 

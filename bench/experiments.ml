@@ -1,7 +1,8 @@
 (* One function per paper artifact (Figs. 1, 7-12 and Tables I-II).
    Each prints the series/rows the paper reports, in the paper's units
    (lattice elements for transmission and memory, bytes for metadata and
-   for the Retwis run, work units for CPU). *)
+   for the Retwis run, measured process CPU for Fig. 1-right and
+   Fig. 12). *)
 
 open Crdt_core
 open Crdt_sim
@@ -10,9 +11,12 @@ module Workload = Crdt_engine.Workload
 (* Experiment scale.  Defaults follow the paper where affordable on one
    machine: 15-node topologies, 100 events per replica, 1000 GMap keys,
    Fig. 9 sweeps up to 32 nodes.  The Retwis run defaults to a reduced
-   scale (16 nodes / 1000 users / 40 rounds); --full restores the paper's
-   50 nodes / 10000 users. *)
+   scale (16 nodes / 1000 users / 40 rounds); --paper restores the
+   paper's 50 nodes / 10000 users / 100 rounds.  CPU cells (Fig. 1-right,
+   Fig. 12) take [cpu_reps] repetitions, each repeating the run until it
+   has used [cpu_floor] seconds of process CPU. *)
 type scale = {
+  name : string;
   nodes : int;
   rounds : int;
   gmap_keys : int;
@@ -21,10 +25,13 @@ type scale = {
   retwis_users : int;
   retwis_rounds : int;
   zipf_coefficients : float list;
+  cpu_reps : int;
+  cpu_floor : float;
 }
 
 let default_scale =
   {
+    name = "default";
     nodes = 15;
     rounds = 100;
     gmap_keys = 1000;
@@ -33,21 +40,27 @@ let default_scale =
     retwis_users = 1000;
     retwis_rounds = 40;
     zipf_coefficients = [ 0.5; 0.75; 1.0; 1.25; 1.5 ];
+    cpu_reps = 5;
+    cpu_floor = 1.0;
   }
 
+(* A paper-scale Retwis run takes minutes of CPU, so fewer repetitions. *)
 let paper_scale =
-  { default_scale with retwis_nodes = 50; retwis_users = 10_000;
-    retwis_rounds = 100 }
+  { default_scale with name = "paper"; retwis_nodes = 50;
+    retwis_users = 10_000; retwis_rounds = 100; cpu_reps = 3 }
 
 let quick_scale =
   {
     default_scale with
+    name = "quick";
     nodes = 15;
     rounds = 30;
     metadata_nodes = [ 8; 16 ];
     retwis_nodes = 8;
     retwis_users = 200;
     retwis_rounds = 15;
+    cpu_reps = 3;
+    cpu_floor = 0.05;
   }
 
 (* Harness instances per benchmark CRDT. *)
@@ -88,25 +101,79 @@ let ratio_row baseline (o : Harness.outcome) =
       (Metrics.ratio ~baseline:(transmission baseline) (transmission o));
   ]
 
+(* ----------------------------------------------------------- CPU cells *)
+
+(* Process CPU per run of each named deterministic run (which returns
+   whether it converged) over [scale.cpu_reps] repetitions.  The runs
+   are interleaved inside each repetition, so a slow phase of the host
+   hits all of them alike; each repetition repeats its run back to back
+   until it has used [scale.cpu_floor] seconds.  A run that does not
+   converge, or a cell that is not finite and positive, fails the
+   bench. *)
+let measure_cpu scale runs =
+  let samples = Array.make (List.length runs) [] in
+  for _ = 1 to scale.cpu_reps do
+    List.iteri
+      (fun i (name, run) ->
+        let checked () =
+          if not (run ()) then failwith (name ^ " failed to converge")
+        in
+        let per_run = Report.cpu_per_run ~floor:scale.cpu_floor checked in
+        samples.(i) <- per_run :: samples.(i))
+      runs
+  done;
+  List.map
+    (fun xs ->
+      let c = Report.spread xs in
+      if not (Float.is_finite c.Report.median && c.median > 0.) then
+        failwith "CPU cell is not finite and positive";
+      c)
+    (Array.to_list samples)
+
+(* A ratio of two cells is resolved only if neither spreads by more than
+   this (IQR/median); otherwise it is inside the noise. *)
+let max_spread = 0.15
+
+let resolved cells =
+  List.for_all (fun c -> Report.iqr_over_median c <= max_spread) cells
+
+let cpu_cells (c : Report.spread) =
+  [
+    Printf.sprintf "%.4f s" c.median;
+    Report.pct (Report.iqr_over_median c);
+    string_of_int c.reps;
+  ]
+
+let ratio_cell ~resolved r =
+  if resolved then Report.f2 r else Report.f2 r ^ " (unresolved)"
+
+let cell_json (c : Report.spread) =
+  Printf.sprintf {|{"median_s": %.6f, "iqr_over_median": %.4f, "reps": %d}|}
+    c.median (Report.iqr_over_median c) c.reps
+
+let json_rows rows = "[\n    " ^ String.concat ",\n    " rows ^ "\n  ]"
+
+(* [sections] are (id, JSON object) pairs, one per CPU experiment run. *)
+let write_cpu_json path scale sections =
+  let oc = open_out path in
+  Printf.fprintf oc
+    "{\n  \"bench\": \"cpu_overhead\",\n  \"schema\": 1,\n  \"host\": %s,\n\
+    \  \"scale\": %S,\n  \"cpu_floor_s\": %g,\n%s\n}\n"
+    (Report.host_json ()) scale.name scale.cpu_floor
+    (String.concat ",\n"
+       (List.map (fun (id, json) -> Printf.sprintf "  %S: %s" id json) sections));
+  close_out oc;
+  Report.note "wrote %s" path
+
 (* ---------------------------------------------------------------- fig1 *)
 
 (* Fig. 1: 15-node partial mesh replicating an always-growing GSet.
-   Left: elements sent over time (cumulative, sampled); right: CPU ratio
-   w.r.t. state-based. *)
+   Left: elements sent over time (cumulative, sampled); right: measured
+   CPU ratio w.r.t. state-based.  Returns the right plot as JSON. *)
 let fig1 scale =
   Report.section "Fig 1" "delta-based ≈ state-based on a mesh (GSet)";
   let topo = Topology.partial_mesh scale.nodes in
   let ops = gset_ops scale.nodes in
-  let selection =
-    {
-      Harness.all_protocols with
-      scuttlebutt = false;
-      scuttlebutt_gc = false;
-      op_based = false;
-      delta_bp = false;
-      delta_rr = false;
-    }
-  in
   (* Per-round series need raw runner access. *)
   let proto name =
     Crdt_engine.Registry.instantiate
@@ -129,18 +196,18 @@ let fig1 scale =
         !cum)
       rounds
   in
-  let s_state =
+  let run_state () =
     Rs.run ~equal:Gset.Of_int.equal ~topology:topo ~rounds:scale.rounds ~ops ()
   in
-  let s_classic =
+  let run_classic () =
     Rc.run ~equal:Gset.Of_int.equal ~topology:topo ~rounds:scale.rounds ~ops ()
   in
-  let s_bprr =
+  let run_bprr () =
     Rb.run ~equal:Gset.Of_int.equal ~topology:topo ~rounds:scale.rounds ~ops ()
   in
-  let cs = series s_state.Rs.rounds
-  and cc = series s_classic.Rc.rounds
-  and cb = series s_bprr.Rb.rounds in
+  let cs = series (run_state ()).Rs.rounds
+  and cc = series (run_classic ()).Rc.rounds
+  and cb = series (run_bprr ()).Rb.rounds in
   let sample = max 1 (scale.rounds / 10) in
   let rows = ref [] in
   Array.iteri
@@ -159,15 +226,38 @@ let fig1 scale =
   Report.table
     ~header:[ "round"; "state-based"; "delta-classic"; "delta-bp+rr" ]
     (List.rev !rows);
-  let w_state = Rs.total_work s_state
-  and w_classic = Rc.total_work s_classic
-  and w_bprr = Rb.total_work s_bprr in
+  let runs =
+    [
+      ("state-based", fun () -> (run_state ()).Rs.converged);
+      ("delta-classic", fun () -> (run_classic ()).Rc.converged);
+      ("delta-bp+rr", fun () -> (run_bprr ()).Rb.converged);
+    ]
+  in
+  let names = List.map fst runs in
+  let cells = measure_cpu scale runs in
+  let state = List.hd cells in
+  let ratio c = c.Report.median /. state.Report.median in
   Report.note "";
   Report.note
-    "CPU work ratio w.r.t. state-based (right plot): classic=%.2f bp+rr=%.2f"
-    (Metrics.ratio ~baseline:w_state w_classic)
-    (Metrics.ratio ~baseline:w_state w_bprr);
-  ignore selection
+    "process CPU per run w.r.t. state-based (right plot), %d repetitions \
+     of >= %.2f s:"
+    scale.cpu_reps scale.cpu_floor;
+  Report.table
+    ~header:[ "protocol"; "CPU/run"; "IQR/median"; "reps"; "ratio vs state" ]
+    (List.map2
+       (fun name c ->
+         (name :: cpu_cells c)
+         @ [ ratio_cell ~resolved:(resolved [ state; c ]) (ratio c) ])
+       names cells);
+  Printf.sprintf {|{"nodes": %d, "rounds": %d, "cells": %s}|} scale.nodes
+    scale.rounds
+    (json_rows
+       (List.map2
+          (fun name c ->
+            Printf.sprintf
+              {|{"protocol": %S, "cpu": %s, "ratio_vs_state_based": %.4f, "resolved": %b}|}
+              name (cell_json c) (ratio c) (resolved [ state; c ]))
+          names cells))
 
 (* ---------------------------------------------------------------- tab1 *)
 
@@ -416,47 +506,44 @@ module Retwis_bprr =
 module Rr_classic = Runner.Make (Retwis_classic)
 module Rr_bprr = Runner.Make (Retwis_bprr)
 
+(* One Retwis run on the [scale]'s mesh; each run draws from a fresh,
+   identically seeded workload, so repeated runs are identical. *)
+let retwis_ops scale coefficient =
+  let wl =
+    Crdt_retwis.Workload.make ~seed:31 ~users:scale.retwis_users ~coefficient
+  in
+  fun ~round ~node state ->
+    Crdt_retwis.Workload.ops_sharded wl ~round ~node state
+
+let run_retwis_classic scale topo coefficient =
+  Rr_classic.run ~equal:Retwis_classic.equal_states ~topology:topo
+    ~rounds:scale.retwis_rounds ~ops:(retwis_ops scale coefficient) ()
+
+let run_retwis_bprr scale topo coefficient =
+  Rr_bprr.run ~equal:Retwis_bprr.equal_states ~topology:topo
+    ~rounds:scale.retwis_rounds ~ops:(retwis_ops scale coefficient) ()
+
+let retwis_note scale =
+  Report.note "%d nodes (mesh), %d users, %d rounds" scale.retwis_nodes
+    scale.retwis_users scale.retwis_rounds
+
 type retwis_point = {
   coefficient : float;
   tx_classic : float;  (** bytes transmitted per node per round. *)
   tx_bprr : float;
   mem_classic : float;  (** average resident bytes per node. *)
   mem_bprr : float;
-  work_classic : int;
-  work_bprr : int;
 }
 
 let retwis_sweep scale =
+  let topo = Topology.partial_mesh scale.retwis_nodes in
   List.map
     (fun coefficient ->
-      let topo = Topology.partial_mesh scale.retwis_nodes in
       let per_node_round x =
         x /. float_of_int (scale.retwis_nodes * scale.retwis_rounds)
       in
-      let run_classic () =
-        let wl =
-          Crdt_retwis.Workload.make ~seed:31 ~users:scale.retwis_users
-            ~coefficient
-        in
-        Rr_classic.run ~equal:Retwis_classic.equal_states ~topology:topo
-          ~rounds:scale.retwis_rounds
-          ~ops:(fun ~round ~node state ->
-            Crdt_retwis.Workload.ops_sharded wl ~round ~node state)
-          ()
-      in
-      let run_bprr () =
-        let wl =
-          Crdt_retwis.Workload.make ~seed:31 ~users:scale.retwis_users
-            ~coefficient
-        in
-        Rr_bprr.run ~equal:Retwis_bprr.equal_states ~topology:topo
-          ~rounds:scale.retwis_rounds
-          ~ops:(fun ~round ~node state ->
-            Crdt_retwis.Workload.ops_sharded wl ~round ~node state)
-          ()
-      in
-      let rc = run_classic () in
-      let rb = run_bprr () in
+      let rc = run_retwis_classic scale topo coefficient in
+      let rb = run_retwis_bprr scale topo coefficient in
       if not (rc.Rr_classic.converged && rb.Rr_bprr.converged) then
         failwith "retwis run failed to converge";
       let sc = Rr_classic.summary rc and sb = Rr_bprr.summary rb in
@@ -472,17 +559,14 @@ let retwis_sweep scale =
           sc.Metrics.avg_memory_bytes /. float_of_int scale.retwis_nodes;
         mem_bprr =
           sb.Metrics.avg_memory_bytes /. float_of_int scale.retwis_nodes;
-        work_classic = Rr_classic.total_work rc;
-        work_bprr = Rr_bprr.total_work rb;
       })
     scale.zipf_coefficients
 
-let fig11_12 scale =
+let fig11 scale =
   Report.section "Fig 11"
     "Retwis: transmission and memory per node, classic vs BP+RR, by Zipf \
      coefficient";
-  Report.note "%d nodes (mesh), %d users, %d rounds" scale.retwis_nodes
-    scale.retwis_users scale.retwis_rounds;
+  retwis_note scale;
   let points = retwis_sweep scale in
   Report.table
     ~header:
@@ -502,21 +586,58 @@ let fig11_12 scale =
            Report.bytes p.mem_classic;
            Report.bytes p.mem_bprr;
          ])
-       points);
+       points)
+
+(* Fig. 12: measured process CPU of whole Retwis runs, classic against
+   BP+RR, per Zipf coefficient.  Returns the rows as JSON. *)
+let fig12 scale =
   Report.section "Fig 12" "CPU overhead of classic delta-based vs BP+RR";
+  retwis_note scale;
+  Report.note "process CPU per run, %d repetitions of >= %.2f s" scale.cpu_reps
+    scale.cpu_floor;
+  let topo = Topology.partial_mesh scale.retwis_nodes in
+  let rows =
+    List.map
+      (fun coefficient ->
+        let cells =
+          measure_cpu scale
+            [
+              ( "retwis delta-classic",
+                fun () ->
+                  (run_retwis_classic scale topo coefficient).Rr_classic.converged
+              );
+              ( "retwis delta-bp+rr",
+                fun () ->
+                  (run_retwis_bprr scale topo coefficient).Rr_bprr.converged );
+            ]
+        in
+        (coefficient, List.nth cells 0, List.nth cells 1))
+      scale.zipf_coefficients
+  in
+  let overhead (c : Report.spread) (b : Report.spread) =
+    (c.median -. b.median) /. b.median
+  in
   Report.table
-    ~header:[ "zipf"; "work classic"; "work bp+rr"; "overhead (x)" ]
+    ~header:
+      [
+        "zipf"; "classic CPU/run"; "IQR/median"; "reps"; "bp+rr CPU/run";
+        "IQR/median"; "reps"; "overhead (x)";
+      ]
     (List.map
-       (fun p ->
-         [
-           Report.f2 p.coefficient;
-           string_of_int p.work_classic;
-           string_of_int p.work_bprr;
-           Report.f2
-             (Metrics.ratio ~baseline:p.work_bprr
-                (p.work_classic - p.work_bprr));
-         ])
-       points);
+       (fun (z, c, b) ->
+         (Report.f2 z :: cpu_cells c)
+         @ cpu_cells b
+         @ [ ratio_cell ~resolved:(resolved [ c; b ]) (overhead c b) ])
+       rows);
   Report.note
-    "overhead = (classic - bp+rr) / bp+rr, matching the paper's 0.4x / 5.5x \
-     / 7.9x at zipf 1 / 1.25 / 1.5."
+    "overhead = (classic - bp+rr) / bp+rr; the paper reports 0.4x / 5.5x / \
+     7.9x at zipf 1 / 1.25 / 1.5 (50 nodes, 10000 users).";
+  Printf.sprintf {|{"nodes": %d, "users": %d, "rounds": %d, "rows": %s}|}
+    scale.retwis_nodes scale.retwis_users scale.retwis_rounds
+    (json_rows
+       (List.map
+          (fun (z, c, b) ->
+            Printf.sprintf
+              {|{"zipf": %.2f, "classic": %s, "bprr": %s, "overhead": %.4f, "resolved": %b}|}
+              z (cell_json c) (cell_json b) (overhead c b) (resolved [ c; b ]))
+          rows))

@@ -14,18 +14,19 @@
 let all_ids =
   [
     "fig1"; "tab1"; "fig7"; "fig8"; "fig9"; "fig10"; "tab2"; "fig11";
-    "ablation"; "cpu"; "delta"; "sim_scale"; "fault_matrix"; "wire_size";
+    "fig12"; "ablation"; "delta"; "sim_scale"; "fault_matrix"; "wire_size";
     "divergence_sweep"; "recovery_time";
   ]
 
 let usage () =
   Printf.printf
-    "usage: main.exe [--quick|--paper] [--json] [%s ...]\n(fig11 also prints \
-     Fig 12; no ids = run everything; --json makes `delta` / `sim_scale` / \
-     `fault_matrix` / `wire_size` / `divergence_sweep` / `recovery_time` \
-     write BENCH_delta_kernels.json / BENCH_sim_scale.json / \
-     BENCH_fault_matrix.json / BENCH_wire_size.json / \
-     BENCH_divergence_sweep.json / BENCH_recovery_time.json)\n"
+    "usage: main.exe [--quick|--paper] [--json] [%s ...]\n(no ids = run \
+     everything; --json makes `fig1` and `fig12` write \
+     BENCH_cpu_overhead.json (BENCH_cpu_overhead_paper.json with --paper) \
+     and `delta` / `sim_scale` / `fault_matrix` / `wire_size` / \
+     `divergence_sweep` / `recovery_time` write BENCH_delta_kernels.json / \
+     BENCH_sim_scale.json / BENCH_fault_matrix.json / BENCH_wire_size.json \
+     / BENCH_divergence_sweep.json / BENCH_recovery_time.json)\n"
     (String.concat "|" all_ids)
 
 let () =
@@ -56,19 +57,22 @@ let () =
           ids
     in
     let t0 = Sys.time () in
+    (* The CPU experiments' JSON sections, written together at the end. *)
+    let cpu_sections = ref [] in
+    let cpu id json = cpu_sections := (id, json) :: !cpu_sections in
     List.iter
       (fun id ->
         match id with
-        | "fig1" -> Experiments.fig1 scale
+        | "fig1" -> cpu id (Experiments.fig1 scale)
         | "tab1" -> Experiments.table1 ()
         | "fig7" -> Experiments.fig7 scale
         | "fig8" -> Experiments.fig8 scale
         | "fig9" -> Experiments.fig9 scale
         | "fig10" -> Experiments.fig10 scale
         | "tab2" -> Experiments.table2 scale
-        | "fig11" | "fig12" -> Experiments.fig11_12 scale
+        | "fig11" -> Experiments.fig11 scale
+        | "fig12" -> cpu id (Experiments.fig12 scale)
         | "ablation" -> Experiments.ablation scale
-        | "cpu" -> Cpu_bench.run ()
         | "delta" ->
             Delta_kernels.run ~quick
               ?json_path:(if json then Some "BENCH_delta_kernels.json" else None)
@@ -96,5 +100,10 @@ let () =
               ()
         | _ -> assert false)
       ids;
+    if json && !cpu_sections <> [] then
+      Experiments.write_cpu_json
+        (if scale.Experiments.name = "paper" then "BENCH_cpu_overhead_paper.json"
+         else "BENCH_cpu_overhead.json")
+        scale (List.rev !cpu_sections);
     Printf.printf "\ntotal bench time: %.1fs\n" (Sys.time () -. t0)
   end

@@ -51,6 +51,40 @@ let host_json () =
   Printf.sprintf {|{"cores": %d, "os": %S, "ocaml_version": %S}|}
     (host_cores ()) (host_os ()) Sys.ocaml_version
 
+(* Process CPU seconds per call of [f], calling it back to back in
+   doubling batches until the calls together have used at least [floor]
+   seconds, so Sys.time's resolution and per-batch overhead vanish in
+   the total. *)
+let cpu_per_run ~floor f =
+  let rec go ~calls ~spent batch =
+    let t0 = Sys.time () in
+    for _ = 1 to batch do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let calls = calls + batch and spent = spent +. (Sys.time () -. t0) in
+    if spent < floor && calls < 20_000_000 then go ~calls ~spent (2 * batch)
+    else spent /. float_of_int calls
+  in
+  go ~calls:0 ~spent:0. 1
+
+(* Median and interquartile range of repeated measurements (linear
+   interpolation between order statistics). *)
+type spread = { median : float; iqr : float; reps : int }
+
+let spread samples =
+  let a = Array.of_list samples in
+  Array.sort compare a;
+  let n = Array.length a in
+  let q p =
+    let pos = p *. float_of_int (n - 1) in
+    let lo = int_of_float pos in
+    let hi = min (lo + 1) (n - 1) in
+    a.(lo) +. ((pos -. float_of_int lo) *. (a.(hi) -. a.(lo)))
+  in
+  { median = q 0.5; iqr = q 0.75 -. q 0.25; reps = n }
+
+let iqr_over_median s = s.iqr /. s.median
+
 let f2 x = Printf.sprintf "%.2f" x
 let f1 x = Printf.sprintf "%.1f" x
 let pct x = Printf.sprintf "%.1f%%" (100. *. x)

@@ -142,7 +142,6 @@ module Legacy_stack = struct
       groups : B.t Origins.t;
       pending : B.t;
       next_seq : int;
-      work : int;
     }
 
     type message = Delta of { group : B.t; seq : int }
@@ -156,7 +155,6 @@ module Legacy_stack = struct
         groups = Origins.empty;
         pending = B.bottom;
         next_seq = 0;
-        work = 0;
       }
 
     (* Pre-PR store: per-origin group joined even without BP. *)
@@ -165,7 +163,6 @@ module Legacy_stack = struct
         n with
         x = B.join n.x delta;
         next_seq = n.next_seq + 1;
-        work = n.work + B.weight delta;
         groups =
           Origins.update origin
             (function None -> Some delta | Some g -> Some (B.join g delta))
@@ -213,29 +210,15 @@ module Legacy_stack = struct
               else Some (j, Delta { group = g; seq = n.next_seq }))
             n.neighbors
       in
-      let cost =
-        List.fold_left
-          (fun acc (_, Delta { group; _ }) -> acc + B.weight group)
-          0 msgs
-      in
-      ( {
-          n with
-          groups = Origins.empty;
-          pending = B.bottom;
-          work = n.work + cost;
-        },
-        msgs )
+      ({ n with groups = Origins.empty; pending = B.bottom }, msgs)
 
     let handle n ~src (Delta { group = d; seq = _ }) =
       if cfg.Crdt_proto.Delta_sync.rr then begin
         let extracted = B.delta d n.x in
-        let n = { n with work = n.work + B.weight d } in
         if B.is_bottom extracted then n else store n extracted src
       end
-      else begin
-        let n = { n with work = n.work + B.weight d } in
-        if B.leq d n.x then n else store n d src
-      end
+      else if B.leq d n.x then n
+      else store n d src
 
     let tagged = cfg.Crdt_proto.Delta_sync.bp
     let payload_weight (Delta { group; _ }) = B.weight group

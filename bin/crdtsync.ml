@@ -268,15 +268,15 @@ let print_outcomes ~accounting outcomes =
   let base = Metrics.total_transmission baseline.summary in
   Printf.printf "byte accounting: %s\n"
     (Metrics.accounting_name accounting);
-  Printf.printf "%-17s %14s %8s %14s %14s %12s\n" "protocol" "tx (elements)"
-    "ratio" "tx (bytes)" "avg mem (elt)" "work units";
+  Printf.printf "%-17s %14s %8s %14s %14s\n" "protocol" "tx (elements)"
+    "ratio" "tx (bytes)" "avg mem (elt)";
   List.iter
     (fun (o : Harness.outcome) ->
       let tx = Metrics.total_transmission o.summary in
       let txb = Metrics.transmission_bytes ~accounting o.summary in
-      Printf.printf "%-17s %14d %8.2f %14d %14.0f %12d%s\n" o.protocol tx
+      Printf.printf "%-17s %14d %8.2f %14d %14.0f%s\n" o.protocol tx
         (float_of_int tx /. float_of_int base)
-        txb o.full.Metrics.avg_memory_weight o.work
+        txb o.full.Metrics.avg_memory_weight
         (if o.converged then "" else "  NOT CONVERGED"))
     outcomes
 
@@ -452,16 +452,15 @@ let run_retwis zipf users topology nodes rounds domains faults bytes =
           Crdt_retwis.Workload.ops_sharded w2 ~round ~node state)
         ()
     in
-    let row name (s : Metrics.summary) work converged =
-      Printf.printf "%-14s tx=%9d bytes   mem/node=%9.0f bytes   work=%9d%s\n"
+    let row name (s : Metrics.summary) converged =
+      Printf.printf "%-14s tx=%9d bytes   mem/node=%9.0f bytes%s\n"
         name
         (Metrics.transmission_bytes ~accounting:bytes s)
         (s.Metrics.avg_memory_bytes /. float_of_int nodes)
-        work
         (if converged then "" else "  NOT CONVERGED")
     in
-    row "delta-classic" (Rc.summary rc) (Rc.total_work rc) rc.Rc.converged;
-    row "delta-bp+rr" (Rb.summary rb) (Rb.total_work rb) rb.Rb.converged;
+    row "delta-classic" (Rc.summary rc) rc.Rc.converged;
+    row "delta-bp+rr" (Rb.summary rb) rb.Rb.converged;
     let stragglers =
       List.filter_map
         (fun (name, converged) -> if converged then None else Some name)

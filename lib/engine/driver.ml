@@ -178,7 +178,7 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     t.dirty <- s.s_dirty;
     t.store_dirty <- s.s_store_dirty;
     t.ops_applied <- s.s_ops_applied
-  let work t = P.work t.node
+
   let memory_weight t = P.memory_weight t.node
   let memory_bytes t = P.memory_bytes t.node
   let metadata_memory_bytes t = P.metadata_memory_bytes t.node

@@ -117,7 +117,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) : sig
       Trace events already reported are {e not} retracted — exploration
       sinks must expect replayed prefixes or use {!Trace.null}. *)
 
-  val work : t -> int
   val memory_weight : t -> int
   val memory_bytes : t -> int
   val metadata_memory_bytes : t -> int

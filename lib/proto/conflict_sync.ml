@@ -166,7 +166,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     init_s : isession Imap.t;  (** peer ↦ session we initiated. *)
     resp_s : rsession Imap.t;  (** peer ↦ session we respond to. *)
     dcache : (C.t * int) option;  (** state digest memo, keyed by ==. *)
-    work : int;
   }
 
   type message =
@@ -229,7 +228,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       init_s = Imap.empty;
       resp_s = Imap.empty;
       dcache = None;
-      work = 0;
     }
 
   let crash n =
@@ -263,8 +261,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     | Some (x0, h) when x0 == n.x -> (h, n)
     | _ ->
         let h = C.fold_decompose (fun y acc -> Hash.combine acc (key_of y)) n.x 0 in
-        let n = { n with dcache = Some (n.x, h); work = n.work + C.weight n.x } in
-        (h, n)
+        (h, { n with dcache = Some (n.x, h) })
 
   let snapshot_table x =
     let table = Hashtbl.create 64 in
@@ -291,7 +288,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
           (function None -> Some delta | Some g -> Some (C.join g delta))
           n.groups;
       pending = C.join n.pending delta;
-      work = n.work + C.weight delta;
     }
 
   let absorb n ~src d =
@@ -358,7 +354,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         next_sid = n.next_sid + 1;
         init_s = Imap.add j s n.init_s;
         streak = Imap.remove j n.streak;
-        work = n.work + List.length keys;
       }
     in
     (n, (j, SyncReq { sid = s.i_sid }))
@@ -402,23 +397,10 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         (fun n (j, _) -> { n with last_traffic = Imap.add j n.now n.last_traffic })
         n delta_msgs
     in
-    let cost =
-      List.fold_left
-        (fun acc (_, m) ->
-          match m with Delta { weight; _ } -> acc + weight | _ -> acc)
-        0 delta_msgs
-    in
     (* Constant-size divergence probe to every neighbor, every tick. *)
     let h, n = state_digest n in
     let digest_msgs = List.map (fun j -> (j, Digest { h })) n.neighbors in
-    let n =
-      {
-        n with
-        pending = C.bottom;
-        groups = Imap.empty;
-        work = n.work + cost;
-      }
-    in
+    let n = { n with pending = C.bottom; groups = Imap.empty } in
     (n, List.rev sync_msgs @ delta_msgs @ digest_msgs)
 
   (* --- session legs ------------------------------------------------------ *)
@@ -437,7 +419,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     let ours = Iblt.build ~keys:s.i_keys ~lo ~len in
     let diff = Array.append s.i_diff (Iblt.sub theirs ours) in
     let hi = Array.length diff in
-    let n = { n with work = n.work + len } in
     match Iblt.peel diff with
     | Some (plus, minus) ->
         (* plus = keys only B holds (we need them); minus = only ours. *)
@@ -465,14 +446,8 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
 
   let handle n ~src msg =
     match msg with
-    | Delta { group; weight; _ } ->
-        let n =
-          {
-            n with
-            last_traffic = Imap.add src n.now n.last_traffic;
-            work = n.work + weight;
-          }
-        in
+    | Delta { group; _ } ->
+        let n = { n with last_traffic = Imap.add src n.now n.last_traffic } in
         (absorb n ~src group, [])
     | Digest { h } ->
         let mine, n = state_digest n in
@@ -516,13 +491,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         let s =
           { r_sid = sid; r_table = table; r_keys = keys; r_snap = n.x; r_last = n.now }
         in
-        let n =
-          {
-            n with
-            resp_s = Imap.add src s n.resp_s;
-            work = n.work + List.length keys;
-          }
-        in
+        let n = { n with resp_s = Imap.add src s n.resp_s } in
         (n, [ (src, serve_cells s ~lo:0) ])
     | Cells { sid; lo; cells } -> (
         match Imap.find_opt src n.init_s with
@@ -533,9 +502,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         match Imap.find_opt src n.resp_s with
         | Some s when s.r_sid = sid ->
             let s = { s with r_last = n.now } in
-            let n =
-              { n with resp_s = Imap.add src s n.resp_s; work = n.work + chunk_after hi }
-            in
+            let n = { n with resp_s = Imap.add src s n.resp_s } in
             (n, [ (src, serve_cells s ~lo:hi) ])
         | _ -> (n, []))
     | BloomReq { sid; filter } -> (
@@ -561,15 +528,13 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
                 n with
                 resp_s = Imap.add src s n.resp_s;
                 escalated = Iset.add src n.escalated;
-                work = n.work + List.length s.r_keys;
               }
             in
             (n, [ (src, mk_bloomresp sid mine (List.rev missing)) ])
         | _ -> (n, []))
-    | BloomResp { sid; filter; elements; weight; _ } -> (
+    | BloomResp { sid; filter; elements; _ } -> (
         match Imap.find_opt src n.init_s with
         | Some s when s.i_sid = sid ->
-            let n = { n with work = n.work + weight } in
             let n =
               List.fold_left (fun n y -> absorb n ~src y) n elements
             in
@@ -586,17 +551,15 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
             let n = { n with escalated = Iset.add src n.escalated } in
             (n, [ (src, mk_serve sid push) ])
         | _ -> (n, []))
-    | Decoded { sid; need; elements; weight; _ } -> (
+    | Decoded { sid; need; elements; _ } -> (
         match Imap.find_opt src n.resp_s with
         | Some s when s.r_sid = sid ->
-            let n = { n with work = n.work + weight + List.length need } in
             let n = List.fold_left (fun n y -> absorb n ~src y) n elements in
             let serve = List.filter_map (fun k -> Hashtbl.find_opt s.r_table k) need in
             let n = { n with resp_s = Imap.remove src n.resp_s } in
             (n, [ (src, mk_serve sid serve) ])
         | _ -> (n, []))
-    | Serve { sid; elements; weight; _ } ->
-        let n = { n with work = n.work + weight } in
+    | Serve { sid; elements; _ } ->
         let n = List.fold_left (fun n y -> absorb n ~src y) n elements in
         let n =
           match Imap.find_opt src n.init_s with
@@ -708,6 +671,4 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     * (Imap.cardinal n.streak + Imap.cardinal n.last_traffic
       + Iset.cardinal n.escalated)
     + sessions
-
-  let work n = n.work
 end

@@ -63,13 +63,12 @@
     is ever decomposed into singletons on the hot path.
 
     {b Message cost caching.}  Every [Delta] message carries its δ-group's
-    weight and byte size, computed once when the message is built ([tick]
-    needs both anyway for the work charge).  The engine's per-message
-    accounting ([payload_weight] / [payload_bytes]) and the receiver's
-    work charge in [handle] are then O(1) field reads instead of a full
-    traversal of the group per delivery — classic sends the {e same}
-    group to every neighbor, so the pre-cache cost was
-    O(degree · |group|) per tick for accounting alone. *)
+    weight and byte size, computed once when the message is built.  The
+    engine's per-message accounting ([payload_weight] / [payload_bytes])
+    is then an O(1) field read instead of a full traversal of the group
+    per delivery — classic sends the {e same} group to every neighbor,
+    so the pre-cache cost was O(degree · |group|) per tick for
+    accounting alone. *)
 
 type config = { bp : bool; rr : bool; ack_mode : bool }
 
@@ -124,7 +123,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     need_sync : Iset.t;
         (** neighbors still owing a [SyncResp] after a restart; a
             [SyncReq] is (re)sent to each on every tick. *)
-    work : int;
   }
 
   type message =
@@ -164,7 +162,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       next_seq = 0;
       acked = Vclock.empty;
       need_sync = Iset.empty;
-      work = 0;
     }
 
   (* Durable: [x].  Volatile: the δ-buffer in all its representations,
@@ -193,14 +190,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
      the origin's δ-group (non-ack), or cons a seq-tagged entry (ack).
      Either way the cost is independent of the buffer length. *)
   let store n delta origin =
-    let n =
-      {
-        n with
-        x = C.join n.x delta;
-        next_seq = n.next_seq + 1;
-        work = n.work + C.weight delta;
-      }
-    in
+    let n = { n with x = C.join n.x delta; next_seq = n.next_seq + 1 } in
     if cfg.ack_mode then
       { n with entries = { delta; origin; seq = n.next_seq - 1 } :: n.entries }
     else
@@ -294,14 +284,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
           n.neighbors
     in
     let msgs = sync_msgs @ msgs in
-    let cost =
-      List.fold_left
-        (fun acc (_, m) ->
-          match m with
-          | Delta { weight; _ } | SyncReq { weight; _ } -> acc + weight
-          | Ack _ | SyncResp _ -> acc)
-        0 msgs
-    in
     let n =
       if cfg.ack_mode then
         (* Keep entries until every neighbor that must receive them (under
@@ -319,7 +301,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         { n with entries }
       else { n with groups = Origins.empty; pending = C.bottom }
     in
-    ({ n with work = n.work + cost }, msgs)
+    (n, msgs)
 
   (* Absorb a received δ-group/state according to the configuration:
      RR extracts Δ(d, xᵢ), classic stores d whole iff d ⋢ xᵢ.  Stored
@@ -344,26 +326,18 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
             Vclock.set src (max seq (Vclock.get src n.acked)) n.acked
           in
           ({ n with acked }, [])
-    | Delta { group = d; seq; weight; bytes = _ } ->
+    | Delta { group = d; seq; _ } ->
         let ack = if cfg.ack_mode then [ (src, Ack { seq }) ] else [] in
-        let n = { n with work = n.work + weight } in
         (absorb n ~src d, ack)
-    | SyncReq { state = s; weight; bytes = _ } ->
+    | SyncReq { state = s; _ } ->
         (* State-driven reconciliation leg 2: compute what the restarted
            replica is missing before absorbing its state, and always
            answer — an empty Δ is the up-to-date marker that clears the
            requester's need_sync entry. *)
         let missing = C.delta n.x s in
-        let n = { n with work = n.work + weight } in
         (absorb n ~src s, [ (src, mk_syncresp missing) ])
-    | SyncResp { group = g; weight; bytes = _ } ->
-        let n =
-          {
-            n with
-            need_sync = Iset.remove src n.need_sync;
-            work = n.work + weight;
-          }
-        in
+    | SyncResp { group = g; _ } ->
+        let n = { n with need_sync = Iset.remove src n.need_sync } in
         if C.is_bottom g then (n, []) else (absorb n ~src g, [])
 
   let state n = n.x
@@ -438,7 +412,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
 
   (* Delta-based metadata: one sequence number per neighbor (Fig. 9). *)
   let metadata_memory_bytes n = 8 * List.length n.neighbors
-  let work n = n.work
 end
 
 (** Pre-packaged configurations, one per curve in Figs. 7–8. *)

@@ -39,7 +39,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     id : Crdt_core.Replica_id.t;
     neighbors : int list;
     x : C.t;
-    work : int;
     cache : (C.t * (int array array * C.t list array)) option;
         (** digest tree of the last hashed state, keyed by physical
             equality — rebuilding it is the dominant cost of this
@@ -78,12 +77,10 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       id = Crdt_core.Replica_id.of_int id;
       neighbors;
       x = C.bottom;
-      work = 0;
       cache = None;
     }
 
-  let local_update n op =
-    { n with x = C.mutate op n.id n.x; work = n.work + 1 }
+  let local_update n op = { n with x = C.mutate op n.id n.x }
 
   (* Deterministic bucket of an irreducible: the repo-wide digest hash
      (FNV-1a over the irreducible's wire encoding, lib/digest), so
@@ -107,14 +104,14 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     in
     (levels, b)
 
-  (* Hashing the whole state is what these protocols pay for; charge the
-     work only when the tree is actually (re)built. *)
+  (* Hashing the whole state is what these protocols pay for; rebuild
+     the tree only when the state has changed since the last build. *)
   let with_tree n =
     match n.cache with
     | Some (x0, t) when x0 == n.x -> (t, n)
     | _ ->
         let t = compute_tree n.x in
-        (t, { n with cache = Some (n.x, t); work = n.work + C.weight n.x })
+        (t, { n with cache = Some (n.x, t) })
 
   (* Index of the tree node reached by [path] at level [List.length
      path]. *)
@@ -172,12 +169,11 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         let theirs = List.fold_left C.join C.bottom elements in
         let missing = List.filter (fun y -> not (C.leq y n.x)) elements in
         let x = List.fold_left C.join n.x missing in
-        let n = { n with x; work = n.work + List.length elements } in
+        let n = { n with x } in
         if reply then (n, [])
         else
           let (_, b), n = with_tree n in
           let mine = List.filter (fun y -> not (C.leq y theirs)) b.(index) in
-          let n = { n with work = n.work + List.length b.(index) } in
           if mine = [] then (n, [])
           else (n, [ (src, Bucket { index; elements = mine; reply = true }) ])
 
@@ -239,6 +235,4 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       if d > Cfg.depth then acc else total (d + 1) (acc + width) (width * fanout)
     in
     8 * total 0 0 1
-
-  let work n = n.work
 end

@@ -48,7 +48,6 @@ module Make (C : Protocol_intf.CRDT) :
     clock : Vclock.t;  (** delivered operations per origin. *)
     pending : tagged Opmap.t;  (** received, awaiting causal delivery. *)
     tbuf : entry Opmap.t;  (** transmission buffer with seen-sets. *)
-    work : int;
   }
 
   type message = tagged list
@@ -93,7 +92,6 @@ module Make (C : Protocol_intf.CRDT) :
       clock = Vclock.empty;
       pending = Opmap.empty;
       tbuf = Opmap.empty;
-      work = 0;
     }
 
   let deliver n (t : tagged) =
@@ -101,7 +99,6 @@ module Make (C : Protocol_intf.CRDT) :
       n with
       x = C.mutate t.operation (Crdt_core.Replica_id.of_int t.origin) n.x;
       clock = Vclock.set t.origin t.seq n.clock;
-      work = n.work + C.op_weight t.operation;
     }
 
   (* Drain the pending set: deliver every operation whose causal past is
@@ -163,15 +160,13 @@ module Make (C : Protocol_intf.CRDT) :
     (* Evict operations seen by every neighbor (and ourselves). *)
     let everyone = Iset.of_list (n.self :: n.neighbors) in
     let tbuf = Opmap.filter (fun _ e -> not (Iset.subset everyone e.seen)) tbuf in
-    let cost = List.fold_left (fun acc (_, ms) -> acc + List.length ms) 0 msgs in
-    ({ n with tbuf; work = n.work + cost }, msgs)
+    ({ n with tbuf }, msgs)
 
   let handle n ~src batch =
     let n =
       List.fold_left
         (fun n (t : tagged) ->
           let key = (t.origin, t.seq) in
-          let n = { n with work = n.work + 1 } in
           let already_delivered = Vclock.get t.origin n.clock >= t.seq in
           match Opmap.find_opt key n.tbuf with
           | Some e ->
@@ -241,6 +236,4 @@ module Make (C : Protocol_intf.CRDT) :
     + Opmap.fold
         (fun _ e acc -> acc + C.op_byte_size e.msg.operation) n.tbuf 0
     + metadata_memory_bytes n
-
-  let work n = n.work
 end

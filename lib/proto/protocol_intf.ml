@@ -22,10 +22,8 @@
     state survives a restart.
 
     The accounting functions mirror the paper's measurements: weights
-    count lattice elements (the metric of Table I), byte sizes estimate
-    wire/memory footprint (Fig. 9, Fig. 11), and {!PROTOCOL.work} counts
-    deterministic CPU work units (elements touched by joins, ⊑ checks and
-    decompositions — the basis of Fig. 1-right and Fig. 12). *)
+    count lattice elements (the metric of Table I) and byte sizes estimate
+    wire/memory footprint (Fig. 9, Fig. 11). *)
 
 (** Fault classes a protocol declares it tolerates (beyond duplication
     and reordering, which are mandatory).  "Tolerates" means: a run
@@ -134,9 +132,6 @@ module type PROTOCOL = sig
 
   val metadata_memory_bytes : node -> int
   (** Bytes of synchronization metadata kept at the node (Fig. 9). *)
-
-  val work : node -> int
-  (** Cumulative work units spent producing and processing messages. *)
 end
 
 (** Convenience alias for what protocol functors consume. *)

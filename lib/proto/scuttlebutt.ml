@@ -48,7 +48,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     summary : Vclock.t;  (** highest contiguous seq known per origin. *)
     knowledge : Vclock.t Im.t;
         (** GC only: node ↦ last summary vector observed from it. *)
-    work : int;
   }
 
   type message =
@@ -93,7 +92,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       store = Im.empty;
       summary = Vclock.empty;
       knowledge = Im.empty;
-      work = 0;
     }
 
   let store_find origin seq store =
@@ -161,7 +159,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         x = C.join n.x delta;
         store;
         summary = advance_summary n.self store n.summary;
-        work = n.work + C.weight delta;
       }
 
   (* GC: a pair ⟨origin, seq⟩ may be deleted once the recorded summaries
@@ -200,9 +197,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
 
   let tick n =
     let digest = Digest { summary = n.summary; knowledge = n.knowledge } in
-    let msgs = List.map (fun j -> (j, digest)) n.neighbors in
-    ({ n with work = n.work + (Vclock.cardinal n.summary * List.length msgs) },
-     msgs)
+    (n, List.map (fun j -> (j, digest)) n.neighbors)
 
   let missing_pairs n remote_summary =
     Im.fold
@@ -220,10 +215,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     | Digest { summary; knowledge } ->
         let pairs = missing_pairs n summary in
         let n = merge_knowledge n ~src summary knowledge in
-        let cost =
-          List.fold_left (fun acc (_, _, d) -> acc + C.weight d) 0 pairs
-        in
-        let n = { n with work = n.work + cost + Vclock.cardinal summary } in
         if pairs = [] then (n, []) else (n, [ (src, Pairs pairs) ])
     | Pairs pairs ->
         let n =
@@ -237,7 +228,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
                   x = C.join n.x delta;
                   store;
                   summary = advance_summary origin store n.summary;
-                  work = n.work + C.weight delta;
                 })
             n pairs
         in
@@ -317,6 +307,4 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
           Im.fold (fun _ d acc -> acc + C.byte_size d + Vclock.entry_bytes) m acc)
         n.store 0
     + metadata_memory_bytes n
-
-  let work n = n.work
 end

@@ -255,8 +255,6 @@ end = struct
   let metadata_memory_bytes n =
     Km.fold (fun _ o acc -> acc + P.metadata_memory_bytes o) n.objects 0
 
-  let work n = Km.fold (fun _ o acc -> acc + P.work o) n.objects 0
-
   let equal_states (a : crdt) (b : crdt) =
     let to_map l =
       List.fold_left (fun m (k, x) -> Km.add k x m) Km.empty l

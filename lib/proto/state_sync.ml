@@ -14,7 +14,6 @@ module Make (C : Protocol_intf.CRDT) :
     id : Crdt_core.Replica_id.t;
     neighbors : int list;
     x : C.t;
-    work : int;
   }
 
   type message = C.t
@@ -39,19 +38,11 @@ module Make (C : Protocol_intf.CRDT) :
   let load n s = { n with x = C.join n.x s }
 
   let init ~id ~neighbors ~total:_ =
-    { id = Crdt_core.Replica_id.of_int id; neighbors; x = C.bottom; work = 0 }
+    { id = Crdt_core.Replica_id.of_int id; neighbors; x = C.bottom }
 
-  let local_update n op =
-    let x = C.mutate op n.id n.x in
-    { n with x; work = n.work + 1 }
-
-  let tick n =
-    let msgs = List.map (fun j -> (j, n.x)) n.neighbors in
-    let cost = C.weight n.x * List.length n.neighbors in
-    ({ n with work = n.work + cost }, msgs)
-
-  let handle n ~src:_ d =
-    ({ n with x = C.join n.x d; work = n.work + C.weight d }, [])
+  let local_update n op = { n with x = C.mutate op n.id n.x }
+  let tick n = (n, List.map (fun j -> (j, n.x)) n.neighbors)
+  let handle n ~src:_ d = ({ n with x = C.join n.x d }, [])
 
   let state n = n.x
   let payload_weight d = C.weight d
@@ -66,5 +57,4 @@ module Make (C : Protocol_intf.CRDT) :
   let memory_weight n = C.weight n.x
   let memory_bytes n = C.byte_size n.x
   let metadata_memory_bytes _ = 0
-  let work n = n.work
 end

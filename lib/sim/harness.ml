@@ -16,7 +16,6 @@ type outcome = {
   protocol : string;
   summary : Metrics.summary;  (** measured rounds only. *)
   full : Metrics.summary;  (** including the convergence tail. *)
-  work : int;  (** total work units across nodes. *)
   converged : bool;
 }
 
@@ -177,7 +176,6 @@ module Make (C : Protocol_intf.CRDT) = struct
       protocol = P.protocol_name;
       summary = R.summary res;
       full = R.full_summary res;
-      work = R.total_work res;
       converged = res.R.converged;
     }
 

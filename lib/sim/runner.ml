@@ -71,7 +71,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     quiesce_rounds : Metrics.round array;
         (** extra rounds needed to reach convergence. *)
     finals : P.crdt array;
-    work : int array;  (** cumulative work units per node. *)
     converged : bool;
   }
 
@@ -403,7 +402,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
           rounds = measured;
           quiesce_rounds = Array.of_list (List.rev !quiesce);
           finals = Array.map D.state drivers;
-          work = Array.map D.work drivers;
           converged;
         })
 
@@ -413,6 +411,4 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
   (** Summary including the quiescent convergence tail. *)
   let full_summary r =
     Metrics.summarize (Array.append r.rounds r.quiesce_rounds)
-
-  let total_work r = Array.fold_left ( + ) 0 r.work
 end

@@ -1,11 +1,11 @@
 (* The parallel engine's contract: for a fixed fault seed, any [domains]
    setting produces results bit-identical to the sequential engine —
-   same finals, same convergence verdict, same per-round metrics, same
-   per-node work — including under duplicate / drop / shuffle plans and
-   the structural adversity layer (partitions, per-link delay,
-   crash–restart).  Plans are gated on each protocol's declared
-   capabilities, mirroring what Runner.run enforces.  Also unit-covers
-   the engine's substrate (Pool, Dynbuf). *)
+   same finals, same convergence verdict, same per-round metrics —
+   including under duplicate / drop / shuffle plans and the structural
+   adversity layer (partitions, per-link delay, crash–restart).  Plans
+   are gated on each protocol's declared capabilities, mirroring what
+   Runner.run enforces.  Also unit-covers the engine's substrate (Pool,
+   Dynbuf). *)
 
 open Crdt_core
 open Crdt_sim
@@ -35,7 +35,6 @@ struct
     && Array.for_all2 Si.equal a.R.finals b.R.finals
     && a.R.rounds = b.R.rounds
     && a.R.quiesce_rounds = b.R.quiesce_rounds
-    && a.R.work = b.R.work
 
   (* Compare sequential vs domains = 2 and 4 over several fault plans,
      keeping only those the protocol declares tolerance for. *)

@@ -110,7 +110,8 @@ let convergence =
             ()
         in
         check "converged" true res.R.converged);
-    Alcotest.test_case "hash work dwarfs bp+rr's (the paper's objection)"
+    Alcotest.test_case
+      "hash digests alone outweigh bp+rr's traffic (the paper's objection)"
       `Quick (fun () ->
         let topo = Topology.ring 6 in
         let ops ~round ~node _ = Workload.gset ~nodes:6 ~round ~node () in
@@ -123,8 +124,13 @@ let convergence =
         let bprr =
           Rd.run ~equal:Si.equal ~topology:topo ~rounds:10 ~ops ()
         in
-        check "merkle pays more work" true
-          (R.total_work merkle > Rd.total_work bprr));
+        (* Merkle's hash metadata alone — root, subtree and bucket
+           digests on the wire — outweighs everything BP+RR sends. *)
+        let digest = (R.full_summary merkle).Metrics.total_digest_bytes in
+        let bprr_tx =
+          Metrics.total_transmission_bytes (Rd.full_summary bprr)
+        in
+        check "merkle digests outweigh bp+rr's traffic" true (digest > bprr_tx));
   ]
 
 let () =

@@ -153,7 +153,6 @@ let harness_tests =
             Harness.protocol = "state-based";
             summary = Metrics.summarize [||];
             full = Metrics.summarize [||];
-            work = 0;
             converged = true;
           }
         in
