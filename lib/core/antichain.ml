@@ -46,8 +46,9 @@ end = struct
   (* {e} ⊑ b iff some element of [b] dominates [e]; the survivors of [a]
      are pairwise incomparable already, so their join is the plain set of
      survivors — no re-maximalization needed. *)
-  let delta a b =
-    S.filter (fun e -> not (S.exists (fun e' -> P.leq e e') b)) a
+  let dominated b e = S.exists (fun e' -> P.leq e e') b
+  let delta a b = S.filter (fun e -> not (dominated b e)) a
+  let redundancy a b = S.filter (dominated b) a
 
   let pp ppf s =
     Format.fprintf ppf "@[<1>⟪%a⟫@]"

@@ -35,6 +35,7 @@ module Make_max (O : ORDERED_WITH_BOTTOM) :
   (* Every non-⊥ element of a chain is irreducible, so Δ(a,b) is either
      all of [a] or nothing. *)
   let delta a b = if leq a b then bottom else a
+  let redundancy a b = if leq a b then a else bottom
   let codec = O.codec
   let pp = O.pp
 end

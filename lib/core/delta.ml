@@ -11,9 +11,10 @@
 
     This generic, list-based formulation materializes [⇓a] and filters
     it; it is kept as the {e reference oracle} for the structural
-    {!Lattice_intf.DECOMPOSABLE.delta} that each composition implements
-    directly (the hot paths use the structural version; the property
-    suites check both agree on every instance). *)
+    {!Lattice_intf.DECOMPOSABLE.delta} and
+    {!Lattice_intf.DECOMPOSABLE.redundancy} that each composition
+    implements directly (the hot paths use the structural versions; the
+    property suites check both agree on every instance). *)
 
 module Make (L : Lattice_intf.DECOMPOSABLE) = struct
   (** [delta a b] is the optimal delta [Δ(a,b)]. *)
@@ -27,8 +28,9 @@ module Make (L : Lattice_intf.DECOMPOSABLE) = struct
   let delta_mutator m x = delta (m x) x
 
   (** [redundancy a b] is the dual projection: the part of [a] already
-      contained in [b], i.e. [⊔ { y ∈ ⇓a | y ⊑ b }].  Useful for
-      diagnostics and tests ([join (delta a b) (redundancy a b) = a]). *)
+      contained in [b], i.e. [⊔ { y ∈ ⇓a | y ⊑ b }]
+      ([join (delta a b) (redundancy a b) = a]).  The reference oracle
+      for the structural {!Lattice_intf.DECOMPOSABLE.redundancy}. *)
   let redundancy a b =
     List.fold_left
       (fun acc y -> if L.leq y b then L.join acc y else acc)

@@ -81,6 +81,18 @@ module type DECOMPOSABLE = sig
       materializing [⇓a] and filtering it.  Agrees exactly with the
       decompose-based {!Delta.Make.delta}, which the property suites keep
       as the reference oracle. *)
+
+  val redundancy : t -> t -> t
+  (** [redundancy a b] is the dual of {!delta}: the part of [a] already
+      contained in [b], [⊔ \{ y ∈ ⇓a | y ⊑ b \}], so that
+      [join (delta a b) (redundancy a b) = a] and
+      [⇓(redundancy a b) ⊆ ⇓a].  Computed structurally like {!delta};
+      agrees exactly with the decompose-based {!Delta.Make.redundancy},
+      its oracle.  When [e] is an optimal delta against [x] (no
+      irreducible of [e] is ⊑ [x]), [⇓(x ⊔ e)] is [⇓x] minus
+      [⇓(redundancy x e)] plus [⇓e] — which is how an order-independent
+      digest of [⇓x] is kept in step with each join at the cost of the
+      delta, not of the state. *)
 end
 
 (** A totally-ordered decomposable lattice (a chain).  Chains are the

@@ -65,6 +65,21 @@ module Make (C : Lattice_intf.CHAIN) (A : Lattice_intf.DECOMPOSABLE) :
       | n when n > 0 -> x
       | _ -> bottom
 
+  (* The dual split: a smaller guard is wholly covered, a larger one not
+     at all, equal guards recurse — and a bare ⟨c,⊥⟩ is covered by any
+     ⟨c,a'⟩. *)
+  let redundancy ((c1, a1) as x) (c2, a2) =
+    if is_bottom x then bottom
+    else
+      match C.compare c1 c2 with
+      | 0 ->
+          if A.is_bottom a1 then x
+          else
+            let r = A.redundancy a1 a2 in
+            if A.is_bottom r then bottom else (c1, r)
+      | n when n > 0 -> bottom
+      | _ -> x
+
   let codec = Crdt_wire.Codec.pair C.codec A.codec
   let pp ppf (c, a) = Format.fprintf ppf "@[<1>⟨%a;@ %a⟩@]" C.pp c A.pp a
 end

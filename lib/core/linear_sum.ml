@@ -78,6 +78,18 @@ end = struct
         if B.is_bottom d then bottom else Right d
     | Right b1, Left _ -> Right b1
 
+  (* The dual of [delta]; a bare [Right ⊥] is covered by any [Right]. *)
+  let redundancy x y =
+    match (x, y) with
+    | Left a1, Left a2 -> Left (A.redundancy a1 a2)
+    | Left _, Right _ -> x
+    | Right b1, Right b2 ->
+        if B.is_bottom b1 then x
+        else
+          let r = B.redundancy b1 b2 in
+          if B.is_bottom r then bottom else Right r
+    | Right _, Left _ -> bottom
+
   let codec =
     let open Crdt_wire.Codec in
     union ~name:"linear_sum"

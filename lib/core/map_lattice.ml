@@ -163,6 +163,15 @@ end = struct
           v acc)
       t.m acc
 
+  (* Binds a key absent from [acc] to a non-⊥ value. *)
+  let add_new k v acc =
+    {
+      m = M.add k v acc.m;
+      c = acc.c + 1;
+      w = acc.w + V.weight v;
+      b = acc.b + K.byte_size k + V.byte_size v;
+    }
+
   (* Δ is pointwise: keys only in [m1] survive whole, shared keys recurse
      into the value lattice, keys only in [m2] contribute nothing.  Like
      [leq], this walks only [m1] with lookups into [m2] — the common call
@@ -172,20 +181,36 @@ end = struct
   let delta t1 t2 =
     M.fold
       (fun k v1 acc ->
-        let keep d =
-          {
-            m = M.add k d acc.m;
-            c = acc.c + 1;
-            w = acc.w + V.weight d;
-            b = acc.b + K.byte_size k + V.byte_size d;
-          }
-        in
         match M.find_opt k t2.m with
-        | None -> keep v1
+        | None -> add_new k v1 acc
         | Some v2 ->
             let d = V.delta v1 v2 in
-            if V.is_bottom d then acc else keep d)
+            if V.is_bottom d then acc else add_new k d acc)
       t1.m bottom
+
+  (* Only keys bound in both operands carry covered irreducibles, so the
+     walk takes whichever operand the cached cardinals say is smaller and
+     looks each key up in the other — the common call is
+     redundancy(state, one-key δ), which costs one lookup. *)
+  let redundancy t1 t2 =
+    let covered k v1 v2 acc =
+      let r = V.redundancy v1 v2 in
+      if V.is_bottom r then acc else add_new k r acc
+    in
+    if t1.c <= t2.c then
+      M.fold
+        (fun k v1 acc ->
+          match M.find_opt k t2.m with
+          | None -> acc
+          | Some v2 -> covered k v1 v2 acc)
+        t1.m bottom
+    else
+      M.fold
+        (fun k v2 acc ->
+          match M.find_opt k t1.m with
+          | None -> acc
+          | Some v1 -> covered k v1 v2 acc)
+        t2.m bottom
 
   (* Note: a Δ-based join ([a ⊔ b = b ⊔ Δ(a,b)], extracting the smaller
      operand's strictly-new part before a small-vs-big union) measured

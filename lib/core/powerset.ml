@@ -46,6 +46,7 @@ end = struct
   (* The irreducibles of a powerset are the singletons, so Δ is exactly
      set difference — no singleton allocation at all. *)
   let delta = S.diff
+  let redundancy = S.inter
 
   (* Encoded as the sorted element list; decoding re-canonicalizes via
      [S.of_list], so duplicate or mis-ordered elements in corrupt input

@@ -35,6 +35,7 @@ module Make (A : Lattice_intf.DECOMPOSABLE) (B : Lattice_intf.DECOMPOSABLE) :
   (* Each irreducible lives in exactly one component, so Δ splits
      componentwise. *)
   let delta (a1, b1) (a2, b2) = (A.delta a1 a2, B.delta b1 b2)
+  let redundancy (a1, b1) (a2, b2) = (A.redundancy a1 a2, B.redundancy b1 b2)
   let codec = Crdt_wire.Codec.pair A.codec B.codec
   let pp ppf (a, b) = Format.fprintf ppf "@[<1>(%a,@ %a)@]" A.pp a B.pp b
 end

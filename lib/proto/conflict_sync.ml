@@ -152,6 +152,9 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     self : int;
     neighbors : int list;
     x : C.t;  (** durable. *)
+    digest : int option;
+        (** digest of [⇓x], kept in step with every join; [None] only
+            between [load] and the first digest that needs it. *)
     now : int;  (** tick counter; everything below is volatile. *)
     next_sid : int;
     pending : C.t;  (** running join of the δ-buffer. *)
@@ -165,7 +168,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
             waiting for a quiet-link streak. *)
     init_s : isession Imap.t;  (** peer ↦ session we initiated. *)
     resp_s : rsession Imap.t;  (** peer ↦ session we respond to. *)
-    dcache : (C.t * int) option;  (** state digest memo, keyed by ==. *)
   }
 
   type message =
@@ -217,6 +219,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       self = id;
       neighbors;
       x = C.bottom;
+      digest = Some 0;
       now = 0;
       next_sid = sid_base id;
       pending = C.bottom;
@@ -227,9 +230,9 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       escalated = Iset.empty;
       init_s = Imap.empty;
       resp_s = Imap.empty;
-      dcache = None;
     }
 
+  (* [x] is durable, and so is its digest. *)
   let crash n =
     {
       n with
@@ -243,25 +246,43 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       escalated = Iset.empty;
       init_s = Imap.empty;
       resp_s = Imap.empty;
-      dcache = None;
     }
 
   let recover n = { n with resync = Iset.of_list n.neighbors }
 
   (* Restart-from-disk: the digest session machinery only ever compares
      states, so installing the recovered state and arming a resync with
-     every neighbor is the whole story (the digest cache keys on
-     physical state identity and self-invalidates). *)
-  let load n s = recover { n with x = C.join n.x s }
+     every neighbor is the whole story.  The recovered state's digest is
+     left unknown and computed by the first digest that needs it, so a
+     boot pays no decomposition up front. *)
+  let load n s = recover { n with x = C.join n.x s; digest = None }
 
-  (* Commutative digest of ⇓x, memoized on the physical state — ticks
-     between changes pay one pointer compare, not a decomposition. *)
+  (* [Hash.combine] is XOR, so the digest of a set of irreducibles is
+     updated by folding in the hashes of what enters or leaves it. *)
+  let hash_into h e =
+    C.fold_decompose (fun y acc -> Hash.combine acc (key_of y)) e h
+
+  (* Commutative digest of ⇓x: computed from scratch only once after a
+     [load], kept in step by [grow] otherwise. *)
   let state_digest n =
-    match n.dcache with
-    | Some (x0, h) when x0 == n.x -> (h, n)
-    | _ ->
-        let h = C.fold_decompose (fun y acc -> Hash.combine acc (key_of y)) n.x 0 in
-        (h, { n with dcache = Some (n.x, h) })
+    match n.digest with
+    | Some h -> (h, n)
+    | None ->
+        let h = hash_into 0 n.x in
+        (h, { n with digest = Some h })
+
+  (* Every join into [x] but [load]'s.  [e] must be an optimal delta
+     against [x] (no irreducible of [e] is ⊑ x): then ⇓(x ⊔ e) is ⇓x
+     minus ⇓redundancy(x,e) plus ⇓e, and the digest moves by the hashes
+     of those two sets — work proportional to the delta, not the
+     state. *)
+  let grow n e =
+    let digest =
+      Option.map
+        (fun h -> hash_into (hash_into h e) (C.redundancy n.x e))
+        n.digest
+    in
+    { n with x = C.join n.x e; digest }
 
   let snapshot_table x =
     let table = Hashtbl.create 64 in
@@ -278,11 +299,13 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     in
     (table, keys)
 
-  (* δ-buffer store, BP+RR as in Delta_sync. *)
+  (* δ-buffer store, BP+RR as in Delta_sync.  Both callers pass an
+     optimal delta: [absorb] extracts Δ(d,x), and [local_update] relies
+     on the CRDT contract that mᵟ(x) = Δ(m(x),x). *)
   let store n delta origin =
+    let n = grow n delta in
     {
       n with
-      x = C.join n.x delta;
       groups =
         Imap.update origin
           (function None -> Some delta | Some g -> Some (C.join g delta))

@@ -7,6 +7,7 @@
    correctness/minimality contract of Δ(a,b). *)
 
 open Crdt_core
+module Hash = Crdt_digest.Hash
 
 module Make
     (L : Lattice_intf.DECOMPOSABLE) (G : sig
@@ -155,6 +156,25 @@ struct
           (fun y -> not (L.leq y b))
           (L.decompose (L.delta a b)))
 
+  let structural_redundancy_matches_oracle =
+    test "structural redundancy = decompose-based redundancy (oracle)" pair
+      (fun (a, b) -> L.equal (L.redundancy a b) (D.redundancy a b))
+
+  (* The digest upkeep conflict-sync relies on: an XOR of irreducible
+     hashes moves, across a join, by the hashes of the optimal delta and
+     of the irreducibles that delta covers. *)
+  let digest x =
+    L.fold_decompose
+      (fun y acc -> Hash.combine acc (Hash.of_value L.codec y))
+      x 0
+
+  let digest_follows_join =
+    test "digest(a⊔b) = digest a ⊕ digest e ⊕ digest redundancy(a,e), e = Δ(b,a)"
+      pair (fun (a, b) ->
+        let e = L.delta b a in
+        digest (L.join a b)
+        = digest a lxor digest e lxor digest (L.redundancy a e))
+
   let fold_decompose_agrees =
     test "fold_decompose enumerates exactly ⇓x" arb (fun a ->
         let streamed =
@@ -196,6 +216,36 @@ struct
       structural_delta_matches_oracle;
       structural_delta_correct;
       structural_delta_minimal;
+      structural_redundancy_matches_oracle;
+      digest_follows_join;
       fold_decompose_agrees;
     ]
+end
+
+(* The optimal δ-mutator contract of Section III-B: mᵟ(x) = Δ(m(x),x),
+   which is stronger than m(x) = x ⊔ mᵟ(x) — no irreducible of a local
+   delta may already be ⊑ x.  Conflict-sync folds local deltas straight
+   into its digest and is exact only for optimal ones. *)
+module Mutator
+    (C : Lattice_intf.CRDT) (G : sig
+      val name : string
+      val gen : C.t QCheck.Gen.t
+      val op : C.op QCheck.Gen.t
+    end) =
+struct
+  module D = Delta.Make (C)
+
+  let replica = QCheck.Gen.map Replica_id.of_int (QCheck.Gen.int_bound 4)
+
+  let law =
+    QCheck.Test.make ~count:300
+      ~name:(G.name ^ ": δ-mutator is optimal, mᵟ(x) = Δ(m(x),x)")
+      (QCheck.make
+         ~print:(fun (x, op, _) ->
+           Format.asprintf "%a on %a" C.pp_op op C.pp x)
+         (QCheck.Gen.triple G.gen G.op replica))
+      (fun (x, op, i) ->
+        C.equal (C.delta_mutate op i x) (D.delta (C.mutate op i x) x))
+
+  let test = QCheck_alcotest.to_alcotest law
 end

@@ -31,50 +31,55 @@ module Pa = Conflict_sync.Make (Si) (Aggressive_config)
 
 (* Two-replica harness: tick both nodes each round and deliver the whole
    message wave (including reply cascades) before the next round, like a
-   lossless link.  Returns the converged pair and how many rounds it
-   took; fails the test if [limit] rounds don't suffice. *)
-module Pair (P : sig
-  include
-    Crdt_proto.Protocol_intf.PROTOCOL with type crdt = Si.t and type op = int
-end) =
+   lossless link. *)
+module Pair
+    (C : Lattice_intf.CRDT)
+    (P : Protocol_intf.PROTOCOL with type crdt = C.t and type op = C.op) =
 struct
   let make () =
     ( P.init ~id:0 ~neighbors:[ 1 ] ~total:2,
       P.init ~id:1 ~neighbors:[ 0 ] ~total:2 )
 
+  (* One round over [nodes] (updated in place); returns how many
+     messages it delivered. *)
+  let round nodes =
+    let queue = Queue.create () in
+    Array.iteri
+      (fun i n ->
+        let n, msgs = P.tick n in
+        nodes.(i) <- n;
+        List.iter (fun (d, m) -> Queue.add (i, d, m) queue) msgs)
+      nodes;
+    (* Drain the wave, cascading replies within the round. *)
+    let delivered = ref 0 in
+    while (not (Queue.is_empty queue)) && !delivered < 10_000 do
+      incr delivered;
+      let src, dst, m = Queue.pop queue in
+      let n, replies = P.handle nodes.(dst) ~src m in
+      nodes.(dst) <- n;
+      List.iter (fun (d, m') -> Queue.add (dst, d, m') queue) replies
+    done;
+    !delivered
+
+  (* Rounds until the states agree.  Returns the converged pair, how
+     many rounds it took and how many messages they delivered; fails the
+     test if [limit] rounds don't suffice. *)
   let converge ?(limit = 32) (a, b) =
     let nodes = [| a; b |] in
+    let equal () = C.equal (P.state nodes.(0)) (P.state nodes.(1)) in
     let delivered = ref 0 in
-    let round = ref 0 in
-    while
-      (not (Si.equal (P.state nodes.(0)) (P.state nodes.(1)))) && !round < limit
-    do
-      incr round;
-      let queue = Queue.create () in
-      Array.iteri
-        (fun i n ->
-          let n, msgs = P.tick n in
-          nodes.(i) <- n;
-          List.iter (fun (d, m) -> Queue.add (i, d, m) queue) msgs)
-        nodes;
-      (* Drain the wave, cascading replies within the round. *)
-      let steps = ref 0 in
-      while (not (Queue.is_empty queue)) && !steps < 10_000 do
-        incr steps;
-        let src, dst, m = Queue.pop queue in
-        incr delivered;
-        let n, replies = P.handle nodes.(dst) ~src m in
-        nodes.(dst) <- n;
-        List.iter (fun (d, m') -> Queue.add (dst, d, m') queue) replies
-      done
+    let rounds = ref 0 in
+    while (not (equal ())) && !rounds < limit do
+      incr rounds;
+      delivered := !delivered + round nodes
     done;
-    if not (Si.equal (P.state nodes.(0)) (P.state nodes.(1))) then
+    if not (equal ()) then
       Alcotest.failf "pair did not converge within %d rounds" limit;
-    ((nodes.(0), nodes.(1)), !round, !delivered)
+    ((nodes.(0), nodes.(1)), !rounds, !delivered)
 end
 
-module Pair_default = Pair (P)
-module Pair_aggr = Pair (Pa)
+module Pair_default = Pair (Si) (P)
+module Pair_aggr = Pair (Si) (Pa)
 
 let add_range p n lo hi =
   let r = ref n in
@@ -132,6 +137,60 @@ let detection_tests =
         let (a, b), _, _ = Pair_default.converge (a, b) in
         check_int "both hold the union" 20 (Si.weight (P.state a));
         check "equal" true (Si.equal (P.state a) (P.state b)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Digest upkeep under overwriting updates                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A GSet delta never covers an old irreducible, but a map of versions
+   does: bumping a bound key replaces {k ↦ v} by {k ↦ v+1} in ⇓x, so the
+   incrementally kept digest must also drop the covered {k ↦ v}.  A
+   digest that drifted from ⇓x would mismatch a from-scratch one (the
+   restarted replica's) forever and keep opening sessions. *)
+module Gv = Gmap.Versioned
+module Pv = Conflict_sync.Make (Gv) (Conflict_sync.Default_config)
+module Pair_gmap = Pair (Gv) (Pv)
+
+let upkeep_tests =
+  [
+    Alcotest.test_case
+      "digest stays exact under overwriting bumps, losses and a reload"
+      `Quick (fun () ->
+        let bump n keys =
+          List.fold_left
+            (fun n k -> Pv.local_update n (Gv.Apply (k, Version.Bump)))
+            n keys
+        in
+        let range lo hi = List.init (hi - lo) (fun i -> lo + i) in
+        let lose_wave (a, b) = (fst (Pv.tick a), fst (Pv.tick b)) in
+        let a, b = Pair_gmap.make () in
+        let a = bump a (range 0 30) and b = bump b (range 20 50) in
+        let (a, b), _, _ = Pair_gmap.converge (a, b) in
+        (* Two waves of overlapping bumps lost on the link: only a
+           digest-triggered session can repair them. *)
+        let a, b = lose_wave (bump a (range 0 12), bump b (range 8 20)) in
+        let a, b = lose_wave (bump a [ 3; 9; 60 ], bump b [ 3; 10; 61 ]) in
+        check "diverged" false (Gv.equal (Pv.state a) (Pv.state b));
+        let (a, b), rounds, _ = Pair_gmap.converge (a, b) in
+        check
+          (Printf.sprintf "session repaired the lost waves in %d rounds" rounds)
+          true
+          (rounds >= 2 && rounds <= 10);
+        (* Replica 1 restarts from its own state: its digest is now
+           computed from scratch, replica 0's is still the running one. *)
+        let b = Pv.load (Pv.init ~id:1 ~neighbors:[ 0 ] ~total:2) (Pv.state b) in
+        let nodes = [| a; b |] in
+        for _ = 1 to 3 do
+          ignore (Pair_gmap.round nodes)
+        done;
+        check "re-converged" true
+          (Gv.equal (Pv.state nodes.(0)) (Pv.state nodes.(1)));
+        for r = 1 to 20 do
+          check_int
+            (Printf.sprintf "quiet round %d: one digest each way" r)
+            2 (Pair_gmap.round nodes)
+        done);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -198,21 +257,7 @@ let session_tests =
               nodes;
             next := !next + 2
           end;
-          let queue = Queue.create () in
-          Array.iteri
-            (fun i n ->
-              let n, msgs = Pa.tick n in
-              nodes.(i) <- n;
-              List.iter (fun (d, m) -> Queue.add (i, d, m) queue) msgs)
-            nodes;
-          let steps = ref 0 in
-          while (not (Queue.is_empty queue)) && !steps < 10_000 do
-            incr steps;
-            let src, dst, m = Queue.pop queue in
-            let n, replies = Pa.handle nodes.(dst) ~src m in
-            nodes.(dst) <- n;
-            List.iter (fun (d, m') -> Queue.add (dst, d, m') queue) replies
-          done
+          ignore (Pair_aggr.round nodes)
         in
         round ~with_ops:false;
         check "Bloom round left false-positive residue" false (equal ());
@@ -379,6 +424,7 @@ let () =
   Alcotest.run "conflict_sync"
     [
       ("detection", detection_tests);
+      ("digest upkeep", upkeep_tests);
       ("sessions", session_tests);
       ("fault matrix", fault_tests);
       ("durability", law_tests);

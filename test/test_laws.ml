@@ -1,6 +1,8 @@
 (* Instantiates the generic lattice/decomposition/delta laws (laws.ml)
    for every lattice and CRDT in the library, including deep composites,
-   exercising the composition rules of Appendix C. *)
+   exercising the composition rules of Appendix C, and the optimal
+   δ-mutator law for every CRDT.  A CRDT's generator module also names
+   an operation generator, so one module feeds both functors. *)
 
 open Crdt_core
 module Gen = QCheck.Gen
@@ -35,37 +37,43 @@ module Bool_laws =
       let gen = Gen.bool
     end)
 
-module Gset_laws =
-  Laws.Make
-    (Gset.Of_int)
-    (struct
-      let name = "GSet<int>"
-      let gen = Gen.map Gset.Of_int.of_list (Gen.small_list (Gen.int_bound 30))
-    end)
+module Gset_g = struct
+  let name = "GSet<int>"
+  let gen = Gen.map Gset.Of_int.of_list (Gen.small_list (Gen.int_bound 30))
+  let op = Gen.int_bound 30
+end
+
+module Gset_laws = Laws.Make (Gset.Of_int) (Gset_g)
 
 let gcounter_gen =
   Gen.map Gcounter.of_list
     (Gen.small_list (Gen.pair replica (Gen.int_range 1 10)))
 
-module Gcounter_laws =
-  Laws.Make
-    (Gcounter)
-    (struct
-      let name = "GCounter"
-      let gen = gcounter_gen
-    end)
+module Gcounter_g = struct
+  let name = "GCounter"
+  let gen = gcounter_gen
+  let op = Gen.map (fun n -> Gcounter.Inc n) (Gen.int_range 1 5)
+end
 
-module Pncounter_laws =
-  Laws.Make
-    (Pncounter)
-    (struct
-      let name = "PNCounter"
+module Gcounter_laws = Laws.Make (Gcounter) (Gcounter_g)
 
-      let gen =
-        Gen.map Pncounter.of_list
-          (Gen.small_list
-             (Gen.pair replica (Gen.pair (Gen.int_bound 9) (Gen.int_bound 9))))
-    end)
+module Pncounter_g = struct
+  let name = "PNCounter"
+
+  let gen =
+    Gen.map Pncounter.of_list
+      (Gen.small_list
+         (Gen.pair replica (Gen.pair (Gen.int_bound 9) (Gen.int_bound 9))))
+
+  let op =
+    Gen.oneof
+      [
+        Gen.map (fun n -> Pncounter.Inc n) (Gen.int_range 1 5);
+        Gen.map (fun n -> Pncounter.Dec n) (Gen.int_range 1 5);
+      ]
+end
+
+module Pncounter_laws = Laws.Make (Pncounter) (Pncounter_g)
 
 module Pair = Product.Make (Chain.Max_int) (Gset.Of_int)
 
@@ -105,56 +113,66 @@ module Linear_sum_laws =
           ]
     end)
 
-module Gmap_laws =
-  Laws.Make
-    (Gmap.Versioned)
-    (struct
-      let name = "GMap<int,Version>"
+module Gmap_g = struct
+  let name = "GMap<int,Version>"
 
-      let gen =
-        Gen.map Gmap.Versioned.of_list
-          (Gen.small_list (Gen.pair (Gen.int_bound 5) (Gen.int_bound 5)))
-    end)
+  let gen =
+    Gen.map Gmap.Versioned.of_list
+      (Gen.small_list (Gen.pair (Gen.int_bound 5) (Gen.int_bound 5)))
+
+  (* Keys overlap the generated states', so bumps and raises both hit
+     bound keys (an overwriting delta) and fresh ones. *)
+  let op =
+    Gen.map2
+      (fun k v -> Gmap.Versioned.Apply (k, v))
+      (Gen.int_bound 6)
+      (Gen.oneof
+         [
+           Gen.return Version.Bump;
+           Gen.map (fun n -> Version.Raise_to n) (Gen.int_bound 7);
+         ])
+end
+
+module Gmap_laws = Laws.Make (Gmap.Versioned) (Gmap_g)
 
 module Tps = Two_pset.Make (Powerset.Int_elt)
 
-module Two_pset_laws =
-  Laws.Make
-    (Tps)
-    (struct
-      let name = "2PSet<int>"
+module Tps_g = struct
+  let name = "2PSet<int>"
 
-      let gen =
-        let op =
-          Gen.oneof
-            [
-              Gen.map (fun e -> Tps.Add e) (Gen.int_bound 10);
-              Gen.map (fun e -> Tps.Remove e) (Gen.int_bound 10);
-            ]
-        in
-        Gen.map
-          (fun ops ->
-            List.fold_left
-              (fun s op -> Tps.mutate op (Replica_id.of_int 0) s)
-              Tps.bottom ops)
-          (Gen.small_list op)
-    end)
+  let op =
+    Gen.oneof
+      [
+        Gen.map (fun e -> Tps.Add e) (Gen.int_bound 10);
+        Gen.map (fun e -> Tps.Remove e) (Gen.int_bound 10);
+      ]
 
-module Lww_laws =
-  Laws.Make
-    (Lww_register)
-    (struct
-      let name = "LWW register"
-      let gen = Gen.pair (Gen.int_bound 6) small_string
-    end)
+  let gen =
+    Gen.map
+      (fun ops ->
+        List.fold_left
+          (fun s op -> Tps.mutate op (Replica_id.of_int 0) s)
+          Tps.bottom ops)
+      (Gen.small_list op)
+end
 
-module Flag_laws =
-  Laws.Make
-    (Epoch_flag)
-    (struct
-      let name = "Epoch flag"
-      let gen = Gen.pair (Gen.int_bound 4) Gen.bool
-    end)
+module Two_pset_laws = Laws.Make (Tps) (Tps_g)
+
+module Lww_g = struct
+  let name = "LWW register"
+  let gen = Gen.pair (Gen.int_bound 6) small_string
+  let op = Gen.map (fun s -> Lww_register.Write s) small_string
+end
+
+module Lww_laws = Laws.Make (Lww_register) (Lww_g)
+
+module Flag_g = struct
+  let name = "Epoch flag"
+  let gen = Gen.pair (Gen.int_bound 4) Gen.bool
+  let op = Gen.oneofl [ Epoch_flag.Enable; Epoch_flag.Disable ]
+end
+
+module Flag_laws = Laws.Make (Epoch_flag) (Flag_g)
 
 let mv_gen =
   let write = Gen.pair replica small_string in
@@ -171,13 +189,13 @@ let mv_gen =
       |> fst)
     (Gen.small_list write)
 
-module Mv_laws =
-  Laws.Make
-    (Mv_register)
-    (struct
-      let name = "MV register"
-      let gen = mv_gen
-    end)
+module Mv_g = struct
+  let name = "MV register"
+  let gen = mv_gen
+  let op = Gen.map (fun s -> Mv_register.Write s) small_string
+end
+
+module Mv_laws = Laws.Make (Mv_register) (Mv_g)
 
 (* Antichains over the divisibility order on positive integers: a
    genuinely partial order unrelated to any CRDT, stressing M(P). *)
@@ -224,114 +242,148 @@ module Deep_laws =
 
 module Aw = Aw_set.Of_string
 
-module Aw_laws =
-  Laws.Make
-    (Aw)
-    (struct
-      let name = "AW OR-Set"
+module Aw_g = struct
+  let name = "AW OR-Set"
 
-      let gen =
-        let op =
-          Gen.oneof
-            [
-              Gen.map (fun e -> Aw.Add (String.make 1 e))
-                (Gen.char_range 'a' 'd');
-              Gen.map (fun e -> Aw.Remove (String.make 1 e))
-                (Gen.char_range 'a' 'd');
-            ]
-        in
-        (* Mix sequential mutation with joins of divergent replicas so
-           concurrent add/remove patterns appear in generated states. *)
+  let op =
+    Gen.oneof
+      [
+        Gen.map (fun e -> Aw.Add (String.make 1 e)) (Gen.char_range 'a' 'd');
+        Gen.map (fun e -> Aw.Remove (String.make 1 e)) (Gen.char_range 'a' 'd');
+      ]
+
+  (* Mix sequential mutation with joins of divergent replicas so
+     concurrent add/remove patterns appear in generated states. *)
+  let gen =
+    Gen.map
+      (fun ops ->
+        List.fold_left
+          (fun (acc, st) (i, op) ->
+            let st' = Aw.mutate op i st in
+            (Aw.join acc st', st'))
+          (Aw.bottom, Aw.bottom) ops
+        |> fst)
+      (Gen.small_list (Gen.pair replica op))
+end
+
+module Aw_laws = Laws.Make (Aw) (Aw_g)
+
+module Resettable_g = struct
+  let name = "Resettable counter"
+
+  let op =
+    Gen.oneof
+      [
+        Gen.map (fun n -> Resettable_counter.Inc (n + 1)) (Gen.int_bound 5);
+        Gen.return Resettable_counter.Reset;
+      ]
+
+  let gen =
+    Gen.map
+      (fun ops ->
+        List.fold_left
+          (fun x (i, op) -> Resettable_counter.mutate op i x)
+          Resettable_counter.bottom ops)
+      (Gen.small_list (Gen.pair replica op))
+end
+
+module Resettable_laws = Laws.Make (Resettable_counter) (Resettable_g)
+
+module Bounded_g = struct
+  let name = "Bounded counter"
+
+  let op =
+    Gen.oneof
+      [
+        Gen.map (fun n -> Bounded_counter.Inc (n + 1)) (Gen.int_bound 5);
+        Gen.map (fun n -> Bounded_counter.Dec (n + 1)) (Gen.int_bound 5);
         Gen.map
-          (fun ops ->
-            List.fold_left
-              (fun (acc, st) (i, op) ->
-                let st' = Aw.mutate op i st in
-                (Aw.join acc st', st'))
-              (Aw.bottom, Aw.bottom) ops
-            |> fst)
-          (Gen.small_list (Gen.pair replica op))
-    end)
+          (fun (n, t) ->
+            Bounded_counter.Transfer
+              { amount = n + 1; target = Replica_id.of_int t })
+          (Gen.pair (Gen.int_bound 3) (Gen.int_bound 4));
+      ]
 
-module Resettable_laws =
-  Laws.Make
-    (Resettable_counter)
-    (struct
-      let name = "Resettable counter"
+  let gen =
+    Gen.map
+      (fun ops ->
+        List.fold_left
+          (fun x (i, op) -> Bounded_counter.mutate op i x)
+          Bounded_counter.bottom ops)
+      (Gen.small_list (Gen.pair replica op))
+end
 
-      let gen =
-        let op =
-          Gen.oneof
-            [
-              Gen.map (fun n -> Resettable_counter.Inc (n + 1)) (Gen.int_bound 5);
-              Gen.return Resettable_counter.Reset;
-            ]
-        in
+module Bounded_laws = Laws.Make (Bounded_counter) (Bounded_g)
+
+module User_g = struct
+  let name = "Retwis user state"
+
+  let op =
+    Gen.oneof
+      [
+        Gen.map (fun u -> Crdt_retwis.User_state.Follow u) (Gen.int_bound 9);
         Gen.map
-          (fun ops ->
-            List.fold_left
-              (fun x (i, op) -> Resettable_counter.mutate op i x)
-              Resettable_counter.bottom ops)
-          (Gen.small_list (Gen.pair replica op))
-    end)
-
-module Bounded_laws =
-  Laws.Make
-    (Bounded_counter)
-    (struct
-      let name = "Bounded counter"
-
-      let gen =
-        let op =
-          Gen.oneof
-            [
-              Gen.map (fun n -> Bounded_counter.Inc (n + 1)) (Gen.int_bound 5);
-              Gen.map (fun n -> Bounded_counter.Dec (n + 1)) (Gen.int_bound 5);
-              Gen.map
-                (fun (n, t) ->
-                  Bounded_counter.Transfer
-                    { amount = n + 1; target = Replica_id.of_int t })
-                (Gen.pair (Gen.int_bound 3) (Gen.int_bound 4));
-            ]
-        in
+          (fun n ->
+            Crdt_retwis.User_state.Post
+              { tweet_id = Printf.sprintf "t%d" n; content = "c" })
+          (Gen.int_bound 9);
         Gen.map
-          (fun ops ->
-            List.fold_left
-              (fun x (i, op) -> Bounded_counter.mutate op i x)
-              Bounded_counter.bottom ops)
-          (Gen.small_list (Gen.pair replica op))
-    end)
+          (fun ts ->
+            Crdt_retwis.User_state.Timeline_add
+              { timestamp = ts; tweet_id = "t" })
+          (Gen.int_bound 9);
+      ]
 
-module User_laws =
-  Laws.Make
-    (Crdt_retwis.User_state)
-    (struct
-      let name = "Retwis user state"
+  let gen =
+    Gen.map
+      (fun ops ->
+        List.fold_left
+          (fun st (i, op) -> Crdt_retwis.User_state.mutate op i st)
+          Crdt_retwis.User_state.bottom ops)
+      (Gen.small_list (Gen.pair replica op))
+end
 
-      let gen =
-        let op =
-          Gen.oneof
-            [
-              Gen.map (fun u -> Crdt_retwis.User_state.Follow u) (Gen.int_bound 9);
-              Gen.map
-                (fun n ->
-                  Crdt_retwis.User_state.Post
-                    { tweet_id = Printf.sprintf "t%d" n; content = "c" })
-                (Gen.int_bound 9);
-              Gen.map
-                (fun ts ->
-                  Crdt_retwis.User_state.Timeline_add
-                    { timestamp = ts; tweet_id = "t" })
-                (Gen.int_bound 9);
-            ]
-        in
-        Gen.map
-          (fun ops ->
-            List.fold_left
-              (fun st (i, op) -> Crdt_retwis.User_state.mutate op i st)
-              Crdt_retwis.User_state.bottom ops)
-          (Gen.small_list (Gen.pair replica op))
-    end)
+module User_laws = Laws.Make (Crdt_retwis.User_state) (User_g)
+
+(* -- Optimal δ-mutators ------------------------------------------------ *)
+
+let mutator_laws =
+  [
+    (let module M = Laws.Mutator (Gset.Of_int) (Gset_g) in
+    M.test);
+    (let module M = Laws.Mutator (Gcounter) (Gcounter_g) in
+    M.test);
+    (let module M = Laws.Mutator (Pncounter) (Pncounter_g) in
+    M.test);
+    (let module M = Laws.Mutator (Gmap.Versioned) (Gmap_g) in
+    M.test);
+    (let module M = Laws.Mutator (Tps) (Tps_g) in
+    M.test);
+    (let module M = Laws.Mutator (Lww_register) (Lww_g) in
+    M.test);
+    (let module M = Laws.Mutator (Epoch_flag) (Flag_g) in
+    M.test);
+    (let module M = Laws.Mutator (Mv_register) (Mv_g) in
+    M.test);
+    (let module M = Laws.Mutator (Aw) (Aw_g) in
+    M.test);
+    (let module M = Laws.Mutator (Resettable_counter) (Resettable_g) in
+    M.test);
+    (let module M = Laws.Mutator (Bounded_counter) (Bounded_g) in
+    M.test);
+    (let module M = Laws.Mutator (Crdt_retwis.User_state) (User_g) in
+    M.test);
+  ]
+
+(* The naive GSet re-ships present elements on purpose (the Section
+   III-B ablation), so the law must catch it. *)
+let naive_mutator_fails =
+  Alcotest.test_case "GSet<int> naive: δ-mutator is not optimal" `Quick
+    (fun () ->
+      let module M = Laws.Mutator (Gset.Naive_of_int) (Gset_g) in
+      match QCheck.Test.check_exn ~rand:(Random.State.make [| 1 |]) M.law with
+      | () -> Alcotest.fail "the naive δ-mutator passed the optimality law"
+      | exception QCheck.Test.Test_fail _ -> ())
 
 let () =
   Alcotest.run "lattice laws"
@@ -356,4 +408,5 @@ let () =
       ("Resettable counter", Resettable_laws.suite);
       ("Bounded counter", Bounded_laws.suite);
       ("Retwis user", User_laws.suite);
+      ("δ-mutators", mutator_laws @ [ naive_mutator_fails ]);
     ]
