@@ -1,12 +1,13 @@
 (* Recovery cost as a function of log size and checkpoint interval.
 
    A writer replica applies a known op stream and persists through the
-   driver's store seam exactly as `crdtsync serve --data-dir` does: one
-   structural delta per durability point, a full-state checkpoint every
-   [checkpoint_every] deltas (0 = never).  The measured phase is the
-   restart: reopen the segment log, decode checkpoint ⊔ replayed
-   deltas, and rebuild a protocol node from the image with [P.load] —
-   the same code path `serve` runs before its first tick.
+   driver's store seam with [Store.Image]'s persister, the sink
+   `crdtsync serve --data-dir` installs: one structural delta per
+   durability point, a full-state checkpoint every [checkpoint_every]
+   deltas (0 = never).  The measured phase is the restart: reopen the
+   segment log, [Store.Image.recover] checkpoint ⊔ replayed deltas, and
+   rebuild a protocol node from the image with [P.load] — the same
+   calls `serve` makes before its first tick.
 
    The sweep records recovery wall time, replayed records/bytes and
    checkpoint bytes per (crdt × protocol × log size × interval) cell,
@@ -68,15 +69,7 @@ module Cell (C : Crdt_proto.Protocol_intf.CRDT) = struct
         with type t = C.t
          and type op = C.op)
 
-  let encode x = Crdt_wire.Codec.encode_to_string C.codec x
-
-  let decode what s =
-    match Crdt_wire.Codec.decode_string C.codec s with
-    | Ok v -> v
-    | Error e ->
-        failwith
-          (Printf.sprintf "recovery_time: undecodable %s record: %s" what
-             (Crdt_wire.Codec.error_to_string e))
+  module Image = Store.Image (C)
 
   let measure (module P : PROTO) ~crdt ~ops ~checkpoint_every ~op_of_i =
     let module D = Crdt_engine.Driver.Make (P) in
@@ -85,20 +78,10 @@ module Cell (C : Crdt_proto.Protocol_intf.CRDT) = struct
     Fun.protect
       ~finally:(fun () -> remove_dir dir)
       (fun () ->
-        (* -- populate: the serve persist closure, op by op ------------- *)
+        (* -- populate: the serve persist sink, op by op ---------------- *)
         let store, _ = Store.open_ ~segment_bytes ~fsync:Store.Never ~dir () in
         let d = D.create ~id:0 ~neighbors:[ 1 ] ~total:2 () in
-        let last = ref C.bottom in
-        D.set_persist d (fun state ->
-            let delta = C.delta state !last in
-            if not (C.is_bottom delta) then begin
-              Store.append_delta store (encode delta);
-              if
-                checkpoint_every > 0
-                && Store.deltas_since_checkpoint store >= checkpoint_every
-              then Store.checkpoint store (encode state)
-            end;
-            last := state);
+        D.set_persist d (Image.persister store ~checkpoint_every C.bottom);
         for i = 0 to ops - 1 do
           ignore (D.apply d [ op_of_i i ]);
           D.sync_store d
@@ -109,14 +92,7 @@ module Cell (C : Crdt_proto.Protocol_intf.CRDT) = struct
         (* -- measure: reopen, rebuild the image, load a fresh node ----- *)
         let t0 = Unix.gettimeofday () in
         let store, recovered = Store.open_ ~segment_bytes ~dir () in
-        let image =
-          List.fold_left
-            (fun acc s -> C.join acc (decode "delta" s))
-            (match recovered.Store.checkpoint with
-            | Some c -> decode "checkpoint" c
-            | None -> C.bottom)
-            recovered.Store.deltas
-        in
+        let image = Image.recover ~dir recovered in
         let node = P.load (P.init ~id:0 ~neighbors:[ 1 ] ~total:2) image in
         let recovery_ms = (Unix.gettimeofday () -. t0) *. 1000. in
         Store.close store;

@@ -282,12 +282,11 @@ let print_outcomes ~accounting outcomes =
 
 (* A run that fails to converge is a correctness red flag, not a footnote:
    banner it and make the process exit non-zero so scripts notice. *)
-let convergence_verdict outcomes =
+let convergence_verdict runs =
   let stragglers =
     List.filter_map
-      (fun (o : Harness.outcome) ->
-        if o.converged then None else Some o.protocol)
-      outcomes
+      (fun (name, converged) -> if converged then None else Some name)
+      runs
   in
   match stragglers with
   | [] -> 0
@@ -381,7 +380,10 @@ let run_micro crdt topology nodes rounds k domains faults bytes trace_out
     | Some path ->
         write_file path
           (micro_metrics_json ~crdt ~topology ~nodes ~rounds outcomes));
-    convergence_verdict outcomes
+    convergence_verdict
+      (List.map
+         (fun (o : Harness.outcome) -> (o.protocol, o.converged))
+         outcomes)
   with Invalid_argument msg ->
     Printf.eprintf "error: %s\n" msg;
     2
@@ -461,21 +463,8 @@ let run_retwis zipf users topology nodes rounds domains faults bytes =
     in
     row "delta-classic" (Rc.summary rc) rc.Rc.converged;
     row "delta-bp+rr" (Rb.summary rb) rb.Rb.converged;
-    let stragglers =
-      List.filter_map
-        (fun (name, converged) -> if converged then None else Some name)
-        [
-          ("delta-classic", rc.Rc.converged); ("delta-bp+rr", rb.Rb.converged);
-        ]
-    in
-    match stragglers with
-    | [] -> 0
-    | names ->
-        Printf.printf
-          "\n*** NOT CONVERGED: %s — replicas still diverge after the \
-           quiescence limit; results above are not comparable. ***\n"
-          (String.concat ", " names);
-        1
+    convergence_verdict
+      [ ("delta-classic", rc.Rc.converged); ("delta-bp+rr", rb.Rb.converged) ]
   with Invalid_argument msg ->
     Printf.eprintf "error: %s\n" msg;
     2
@@ -548,6 +537,7 @@ let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
       | Ok p -> p
       | Error m -> invalid_arg m
     in
+    let module Image = Crdt_store.Store.Image (S.C) in
     (* Durable storage: open (and recover) the segment log before the
        runtime starts, so boot state and recovery stats exist up
        front.  The store holds only CRDT bytes, so the protocol must
@@ -565,22 +555,7 @@ let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
                  P.protocol_name);
           let t0 = Unix.gettimeofday () in
           let store, recovered = Crdt_store.Store.open_ ~fsync ~dir () in
-          let decode what s =
-            match Crdt_wire.Codec.decode_string S.C.codec s with
-            | Ok v -> v
-            | Error e ->
-                invalid_arg
-                  (Printf.sprintf "%s: undecodable %s record: %s" dir what
-                     (Crdt_wire.Codec.error_to_string e))
-          in
-          let boot =
-            List.fold_left
-              (fun acc d -> S.C.join acc (decode "delta" d))
-              (match recovered.Crdt_store.Store.checkpoint with
-              | Some c -> decode "checkpoint" c
-              | None -> S.C.bottom)
-              recovered.Crdt_store.Store.deltas
-          in
+          let boot = Image.recover ~dir recovered in
           let recovery_s = Unix.gettimeofday () -. t0 in
           Some (store, recovered, boot, recovery_s)
     in
@@ -600,35 +575,17 @@ let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
     let digest state =
       Digest.string (Crdt_wire.Codec.encode_to_string S.C.codec state)
     in
-    (* Persist sink: append the structural delta against the last image
-       written, and roll a checkpoint once enough deltas accumulated.
-       Boot only when the directory held anything — a fresh data dir
+    (* Boot only when the directory held anything — a fresh data dir
        must not arm the recovery exchange of a first-boot replica. *)
     let boot, persist =
       match durable with
       | None -> (None, None)
       | Some (store, recovered, boot_state, _) ->
-          let last = ref boot_state in
-          let persist state =
-            let d = S.C.delta state !last in
-            if not (S.C.is_bottom d) then begin
-              Crdt_store.Store.append_delta store
-                (Crdt_wire.Codec.encode_to_string S.C.codec d);
-              if
-                checkpoint_every > 0
-                && Crdt_store.Store.deltas_since_checkpoint store
-                   >= checkpoint_every
-              then
-                Crdt_store.Store.checkpoint store
-                  (Crdt_wire.Codec.encode_to_string S.C.codec state)
-            end;
-            last := state
-          in
           let boot =
             if recovered.Crdt_store.Store.segments > 0 then Some boot_state
             else None
           in
-          (boot, Some persist)
+          (boot, Some (Image.persister store ~checkpoint_every boot_state))
     in
     let res =
       with_trace_sink trace_out (fun sink ->
@@ -676,7 +633,7 @@ let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
              recovery_json (counters_totals_json res.R.counters)));
     if res.R.clean then 0 else 1
   with
-  | Invalid_argument msg | Failure msg ->
+  | Invalid_argument msg | Failure msg | Crdt_store.Store.Corrupt msg ->
       Printf.eprintf "error: %s\n" msg;
       2
   | Unix.Unix_error (e, fn, arg) ->
@@ -796,55 +753,6 @@ let serve_cmd =
       const run_serve $ id $ listen $ peers $ crdt $ protocol $ ops $ tick_ms
       $ quiet_ticks $ max_ticks $ lockstep $ data_dir $ checkpoint_every
       $ fsync $ state_out $ metrics_out_arg $ trace_out_arg $ verbose)
-
-(* -- partition ---------------------------------------------------------- *)
-
-let run_partition shared divergence =
-  let module S = Crdt_core.Gset.Of_string in
-  let module P = Crdt_proto.Partition_sync.Make (S) in
-  let base =
-    S.of_list (List.init shared (fun i -> Printf.sprintf "shared-%08d-%024d" i i))
-  in
-  let grow tag n s =
-    List.fold_left
-      (fun s i ->
-        S.add
-          (Printf.sprintf "%s-%d" tag i)
-          (Crdt_core.Replica_id.of_int 0)
-          s)
-      s (List.init n Fun.id)
-  in
-  let a = grow "a" divergence base in
-  let b = grow "b" (divergence / 2) base in
-  Printf.printf
-    "reconciling two replicas: %d shared elements, %d/%d divergent\n\n"
-    shared divergence (divergence / 2);
-  let show name (x, y, (stats : P.stats)) =
-    assert (S.equal x y);
-    Printf.printf "%-14s %d messages  %8d bytes\n" name stats.messages
-      stats.bytes
-  in
-  show "bidirectional" (P.bidirectional a b);
-  show "state-driven" (P.state_driven a b);
-  show "digest-driven" (P.digest_driven a b);
-  0
-
-let partition_cmd =
-  let shared =
-    Arg.(
-      value & opt int 5000
-      & info [ "shared" ] ~docv:"N" ~doc:"Elements common to both replicas.")
-  in
-  let divergence =
-    Arg.(
-      value & opt int 20
-      & info [ "divergence"; "d" ] ~docv:"D"
-          ~doc:"Elements only one replica has (the other gets D/2).")
-  in
-  Cmd.v
-    (Cmd.info "partition"
-       ~doc:"Compare post-partition reconciliation strategies [30]")
-    Term.(const run_partition $ shared $ divergence)
 
 (* -- topo --------------------------------------------------------------- *)
 
@@ -1048,7 +956,6 @@ let () =
             micro_cmd;
             retwis_cmd;
             serve_cmd;
-            partition_cmd;
             topo_cmd;
             check_cmd;
           ]))

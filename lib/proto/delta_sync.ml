@@ -28,8 +28,8 @@
     durable.  A restarted replica therefore cannot replay lost buffer
     entries — in ack mode the unacked entries themselves are gone — but
     everything they carried is, by construction, below the durable [xᵢ].
-    [recover] runs the state-driven reconciliation of the companion
-    partition work ([Partition_sync]) against each neighbor: the node
+    [recover] runs the state-driven reconciliation of the authors'
+    companion partition paper [30] against each neighbor: the node
     keeps a [need_sync] set and sends a [SyncReq] carrying its full
     durable state on every tick until the neighbor answers.  The
     neighbor absorbs the request like a received δ-group (so the

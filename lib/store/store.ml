@@ -333,3 +333,46 @@ let open_ ?(segment_bytes = default_segment_bytes) ?(fsync = Never) ~dir () =
     }
   in
   (t, recovery)
+
+(* ------------------------------------------------------------------ *)
+(* Durable image policy                                                *)
+
+module type LATTICE = sig
+  type t
+
+  val bottom : t
+  val is_bottom : t -> bool
+  val join : t -> t -> t
+  val delta : t -> t -> t
+  val codec : t Codec.t
+end
+
+module Image (C : LATTICE) = struct
+  let recover ~dir r =
+    let decode what s =
+      match Codec.decode_string C.codec s with
+      | Ok v -> v
+      | Error e ->
+          raise
+            (Corrupt
+               (Printf.sprintf "%s: undecodable %s record: %s" dir what
+                  (Codec.error_to_string e)))
+    in
+    List.fold_left
+      (fun acc d -> C.join acc (decode "delta" d))
+      (match r.checkpoint with
+      | Some c -> decode "checkpoint" c
+      | None -> C.bottom)
+      r.deltas
+
+  let persister t ~checkpoint_every image =
+    let last = ref image in
+    fun state ->
+      let d = C.delta state !last in
+      if not (C.is_bottom d) then begin
+        append_delta t (Codec.encode_to_string C.codec d);
+        if checkpoint_every > 0 && t.since_checkpoint >= checkpoint_every then
+          checkpoint t (Codec.encode_to_string C.codec state)
+      end;
+      last := state
+end

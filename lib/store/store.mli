@@ -51,7 +51,8 @@ type recovery = {
 
 exception Corrupt of string
 (** Raised when a non-final segment is damaged — torn tails are only
-    expected (and tolerated) where a crash can produce them. *)
+    expected (and tolerated) where a crash can produce them — and by
+    {!Image.recover} on a record body that does not decode. *)
 
 val read : dir:string -> recovery
 (** Read-only recovery scan of [dir] (which may not exist — that is an
@@ -90,3 +91,38 @@ val sync : t -> unit
 
 val close : t -> unit
 (** [sync] + close the active segment's descriptor. *)
+
+(** {1 Durable image policy}
+
+    The one policy that maps a replica's state onto a store: the image
+    is [checkpoint ⊔ deltas]; each durability point appends
+    [Δ(state, last image written)] and rolls a checkpoint every N
+    deltas.  [crdtsync serve --data-dir] and the recovery bench both
+    run it. *)
+
+module type LATTICE = sig
+  type t
+
+  val bottom : t
+  val is_bottom : t -> bool
+  val join : t -> t -> t
+  val delta : t -> t -> t
+  (** [delta a b]: the part of [a] not already in [b]. *)
+
+  val codec : t Crdt_wire.Codec.t
+end
+
+module Image (C : LATTICE) : sig
+  val recover : dir:string -> recovery -> C.t
+  (** [checkpoint ⊔ deltas] of a recovery scan ([bottom] for an empty
+      store).  Raises {!Corrupt}, naming [dir], on a record whose body
+      does not decode. *)
+
+  val persister : t -> checkpoint_every:int -> C.t -> C.t -> unit
+  (** [persister store ~checkpoint_every image] is a persist sink for
+      a store that already holds [image] (its {!recover}ed value, or
+      [bottom]).  Called with a state, it appends [Δ(state, last)] when
+      that is not bottom, then writes a checkpoint of the state once
+      {!deltas_since_checkpoint} reaches [checkpoint_every] (0 =
+      never); [last] then becomes the state. *)
+end

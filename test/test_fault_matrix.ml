@@ -475,10 +475,9 @@ let law_tests =
     law (module Merkle) "merkle";
   ]
 
-(* -- pairwise recovery (Partition_sync) ----------------------------------- *)
+(* -- pairwise recovery (Delta_sync's SyncReq/SyncResp) ------------------- *)
 
 let pairwise_tests =
-  let module P = Crdt_proto.Partition_sync.Make (Si) in
   [
     Alcotest.test_case "recover_crashed reconciles durable state with a peer"
       `Quick
@@ -488,11 +487,34 @@ let pairwise_tests =
         let peer =
           List.fold_left (fun s e -> Si.add e id s) Si.bottom [ 2; 3; 4 ]
         in
-        let restarted', peer', stats = P.recover_crashed ~durable ~peer in
         let expected = Si.join durable peer in
-        check "restarted caught up" true (Si.equal restarted' expected);
-        check "peer absorbed durable" true (Si.equal peer' expected);
-        check_int "two messages" 2 stats.P.messages);
+        (* A fresh incarnation restarted from its durable image, and a
+           peer that holds its state with nothing buffered. *)
+        let restarted =
+          BpRr.load (BpRr.init ~id:0 ~neighbors:[ 1 ] ~total:2) durable
+        in
+        let peer =
+          BpRr.crash
+            (BpRr.load (BpRr.init ~id:1 ~neighbors:[ 0 ] ~total:2) peer)
+        in
+        let deliver node ~src ~dst msgs =
+          List.fold_left
+            (fun (n, out) (j, m) ->
+              check_int "addressed to the other replica" dst j;
+              let n, o = BpRr.handle n ~src m in
+              (n, out @ o))
+            (node, []) msgs
+        in
+        let restarted, reqs = BpRr.tick restarted in
+        let peer, resps = deliver peer ~src:0 ~dst:1 reqs in
+        let restarted, more = deliver restarted ~src:1 ~dst:0 resps in
+        check "restarted caught up" true
+          (Si.equal (BpRr.state restarted) expected);
+        check "peer absorbed durable" true (Si.equal (BpRr.state peer) expected);
+        check_int "two messages" 2
+          (List.length reqs + List.length resps + List.length more);
+        check_int "no request re-sent once answered" 0
+          (List.length (snd (BpRr.tick restarted))));
   ]
 
 let () =

@@ -88,6 +88,46 @@ let accounting =
         check_int "op bytes" 3 (S.op_byte_size "abc"));
   ]
 
+let naive_tests =
+  [
+    Alcotest.test_case "naive δ-mutator re-ships present elements" `Quick
+      (fun () ->
+        let module N = Gset.Naive_of_int in
+        let s = N.of_list [ 1; 2 ] in
+        let d = N.delta_mutate 1 (Replica_id.of_int 0) s in
+        check "non-bottom" false (N.is_bottom d);
+        (* It still satisfies the δ-mutator contract. *)
+        check "contract" true
+          (N.equal
+             (N.mutate 1 (Replica_id.of_int 0) s)
+             (N.join s d)));
+    Alcotest.test_case "naive mutator transmits strictly more under load"
+      `Quick (fun () ->
+        let open Crdt_sim in
+        let module Workload = Crdt_engine.Workload in
+        let topo = Topology.partial_mesh 6 in
+        let ops ~round ~node state =
+          Workload.gset_contended ~pool:5 ~round ~node state
+        in
+        let module Ho = Harness.Make (Gset.Of_int) in
+        let module Hn = Harness.Make (Gset.Naive_of_int) in
+        let sel = Harness.delta_only in
+        let optimal = Ho.run ~selection:sel ~topology:topo ~rounds:12 ~ops () in
+        let naive = Hn.run ~selection:sel ~topology:topo ~rounds:12 ~ops () in
+        let payload outs =
+          List.fold_left
+            (fun acc (o : Harness.outcome) ->
+              acc + o.summary.Metrics.total_payload)
+            0 outs
+        in
+        check "naive > optimal" true (payload naive > payload optimal));
+  ]
+
 let () =
   Alcotest.run "gset"
-    [ ("basics", basics); ("deltas", delta_tests); ("accounting", accounting) ]
+    [
+      ("basics", basics);
+      ("deltas", delta_tests);
+      ("accounting", accounting);
+      ("naive δ-mutator", naive_tests);
+    ]

@@ -293,6 +293,51 @@ let kill_restart_test ~protocol () =
   Alcotest.(check bool) "victim booted from a non-empty segment log" true
     (scrape_int ~key:"segments" victim_metrics > 0)
 
+(* A data dir whose non-final segment is garbage is corruption, not a
+   torn tail: serve must refuse it with a one-line error and exit 2
+   before it binds its listen socket, not die of an uncaught exception. *)
+let damaged_data_dir () =
+  let exe = crdtsync () in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf_deep dir) @@ fun () ->
+  let data = Filename.concat dir "data" in
+  Unix.mkdir data 0o700;
+  let write name contents =
+    let oc = open_out_bin (Filename.concat data name) in
+    output_string oc contents;
+    close_out oc
+  in
+  write "segment-0000000000000000.log" "garbage, not a store record";
+  write "segment-0000000000000001.log" "";
+  let sock = Filename.concat dir "n0.sock" in
+  let err_path = Filename.concat dir "stderr" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "serve"; "--id"; "0"; "--listen"; "unix:" ^ sock;
+         "--data-dir"; data |]
+      Unix.stdin devnull err
+  in
+  Unix.close devnull;
+  Unix.close err;
+  let _, st = Unix.waitpid [] pid in
+  Alcotest.(check string) "serve exits 2" "exit 2" (status_to_string st);
+  let msg = In_channel.with_open_text err_path In_channel.input_all in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "an error line names the damage: %S" msg)
+    true
+    (String.starts_with ~prefix:"error: " msg && contains "non-final segment");
+  Alcotest.(check bool) "no socket file left behind" false
+    (Sys.file_exists sock)
+
 let gset_test () =
   let n = 4 and ops = 10 in
   let encodings, _ = run_cluster ~crdt:"gset" ~n ~ops () in
@@ -637,5 +682,11 @@ let () =
           Alcotest.test_case
             "conflict-sync survives SIGKILL + restart from --data-dir" `Quick
             (kill_restart_test ~protocol:"conflict-sync");
+        ] );
+      ( "damaged --data-dir",
+        [
+          Alcotest.test_case
+            "a garbage non-final segment makes serve exit 2, not crash"
+            `Quick damaged_data_dir;
         ] );
     ]

@@ -13,7 +13,11 @@
    - crash during checkpoint: a checkpoint record torn mid-write leaves
      the previous checkpoint and the deltas after it fully recoverable;
    - corruption in a sealed (non-final) segment is refused loudly
-     ({!Store.Corrupt}), never silently skipped. *)
+     ({!Store.Corrupt}), never silently skipped;
+   - image policy: {!Store.Image} over a real lattice persists Δ
+     against the last image, checkpoints every N deltas, recovers
+     exactly the last persisted state, and refuses a record that does
+     not decode. *)
 
 module Store = Crdt_store.Store
 
@@ -251,6 +255,125 @@ let test_corrupt_sealed_segment () =
         | _ -> false
         | exception Store.Corrupt _ -> true))
 
+(* -- image policy --------------------------------------------------------- *)
+
+module G = Crdt_core.Gset.Of_int
+module Image = Store.Image (G)
+
+let rid = Crdt_core.Replica_id.of_int 0
+
+(* Persist [n] states, each one fresh element past the last, through a
+   persister that starts from [image]; returns the final state. *)
+let persist_ops store ~checkpoint_every ~image ~from n =
+  let persist = Image.persister store ~checkpoint_every image in
+  let state = ref image in
+  for e = from to from + n - 1 do
+    state := G.add e rid !state;
+    persist !state
+  done;
+  !state
+
+let test_image_roundtrip () =
+  with_dir (fun dir ->
+      let k = 5 in
+      let store, r = Store.open_ ~segment_bytes:256 ~dir () in
+      let first =
+        persist_ops store ~checkpoint_every:k ~image:(Image.recover ~dir r)
+          ~from:0 23
+      in
+      Store.close store;
+      let store, r = Store.open_ ~segment_bytes:256 ~dir () in
+      let image = Image.recover ~dir r in
+      check "recover = final state" true (G.equal image first);
+      check_int "replays the deltas since the last checkpoint" (23 mod k)
+        r.Store.replayed_records;
+      (* A second writer generation continues from the recovered image,
+         as a restarted serve does. *)
+      let second =
+        persist_ops store ~checkpoint_every:k ~image ~from:100 9
+      in
+      Store.close store;
+      let r = Store.read ~dir in
+      check "recover after a restart = final state" true
+        (G.equal (Image.recover ~dir r) second);
+      check_int "checkpoint cadence survives the restart" ((23 + 9) mod k)
+        r.Store.replayed_records)
+
+let test_image_unchanged () =
+  with_dir (fun dir ->
+      let store, _ = Store.open_ ~dir () in
+      let persist = Image.persister store ~checkpoint_every:4 G.bottom in
+      persist G.bottom;
+      check_int "bottom over an empty image appends nothing" 0
+        (Store.appended_bytes store);
+      let x = G.of_list [ 1; 2; 3 ] in
+      persist x;
+      let after = Store.appended_bytes store in
+      check "a change appends" true (after > 0);
+      persist x;
+      check_int "an unchanged state appends nothing" after
+        (Store.appended_bytes store);
+      check_int "and counts no delta" 1 (Store.deltas_since_checkpoint store);
+      Store.close store)
+
+let test_image_no_checkpoint () =
+  with_dir (fun dir ->
+      let store, _ = Store.open_ ~dir () in
+      let final =
+        persist_ops store ~checkpoint_every:0 ~image:G.bottom ~from:0 30
+      in
+      Store.close store;
+      let r = Store.read ~dir in
+      check "no checkpoint written" true (r.Store.checkpoint = None);
+      check_int "every delta replays" 30 r.Store.replayed_records;
+      check "recover = final state" true (G.equal (Image.recover ~dir r) final))
+
+let test_image_appends_delta () =
+  with_dir (fun dir ->
+      let store, r = Store.open_ ~dir () in
+      let image =
+        persist_ops store ~checkpoint_every:1 ~image:(Image.recover ~dir r)
+          ~from:0 50
+      in
+      Store.close store;
+      let store, r = Store.open_ ~dir () in
+      let persist =
+        Image.persister store ~checkpoint_every:0 (Image.recover ~dir r)
+      in
+      persist (G.add 50 rid image);
+      check_int "one new element appends its singleton, not the state"
+        (String.length
+           (Crdt_wire.Codec.encode_to_string G.codec (G.of_list [ 50 ])))
+        (Store.appended_bytes store);
+      Store.close store)
+
+let test_image_undecodable_checkpoint () =
+  with_dir (fun dir ->
+      let store, _ = Store.open_ ~dir () in
+      (* A CRC-valid checkpoint whose body is not a GSet encoding. *)
+      Store.checkpoint store "\xff";
+      Store.close store;
+      let r = Store.read ~dir in
+      check "an undecodable checkpoint raises Corrupt naming the dir" true
+        (match Image.recover ~dir r with
+        | _ -> false
+        | exception Store.Corrupt msg ->
+            String.length msg >= String.length dir
+            && String.sub msg 0 (String.length dir) = dir))
+
+let test_image_undecodable () =
+  with_dir (fun dir ->
+      let store, _ = Store.open_ ~dir () in
+      ignore (persist_ops store ~checkpoint_every:0 ~image:G.bottom ~from:0 3);
+      (* A CRC-valid record whose body is not a GSet encoding. *)
+      Store.append_delta store "\xff";
+      Store.close store;
+      let r = Store.read ~dir in
+      check "an undecodable delta raises Corrupt" true
+        (match Image.recover ~dir r with
+        | _ -> false
+        | exception Store.Corrupt _ -> true))
+
 let () =
   Alcotest.run "store"
     [
@@ -277,5 +400,20 @@ let () =
         [
           Alcotest.test_case "mid-file damage raises Corrupt" `Quick
             test_corrupt_sealed_segment;
+        ] );
+      ( "image policy",
+        [
+          Alcotest.test_case "persist then recover, across a restart" `Quick
+            test_image_roundtrip;
+          Alcotest.test_case "an unchanged state appends nothing" `Quick
+            test_image_unchanged;
+          Alcotest.test_case "checkpoint_every 0 never checkpoints" `Quick
+            test_image_no_checkpoint;
+          Alcotest.test_case "appends Δ against the image, not the state"
+            `Quick test_image_appends_delta;
+          Alcotest.test_case "an undecodable checkpoint raises Corrupt" `Quick
+            test_image_undecodable_checkpoint;
+          Alcotest.test_case "an undecodable delta raises Corrupt" `Quick
+            test_image_undecodable;
         ] );
     ]
