@@ -105,5 +105,7 @@ let () =
         (if scale.Experiments.name = "paper" then "BENCH_cpu_overhead_paper.json"
          else "BENCH_cpu_overhead.json")
         scale (List.rev !cpu_sections);
-    Printf.printf "\ntotal bench time: %.1fs\n" (Sys.time () -. t0)
+    (* On stderr, so two commits' stdout can be compared with [cmp]. *)
+    flush stdout;
+    Printf.eprintf "\ntotal bench time: %.1fs\n%!" (Sys.time () -. t0)
   end

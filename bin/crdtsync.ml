@@ -9,7 +9,7 @@
 
    Examples:
      crdtsync micro --crdt gset --topology mesh --nodes 15 --rounds 100
-     crdtsync micro --crdt gmap --k 60 --topology tree --bytes estimate
+     crdtsync micro --crdt gmap -k 60 --topology tree --bytes estimate
      crdtsync micro --drop 0.2 --crash 3:10:30 --partition '20:60:0,1,2'
      crdtsync retwis --zipf 1.25 --users 1000 --nodes 16 --rounds 40
      crdtsync serve --id 0 --listen 127.0.0.1:7000 --peer 1=127.0.0.1:7001

@@ -1,9 +1,9 @@
 (* One hashing story for the whole repo.
 
    Every digest structure in lib/digest — and the digest-flavoured
-   protocols built on top (merkle, partition recovery, conflict-sync) —
-   identifies an irreducible join-decomposition by the same stable
-   64-bit hash: FNV-1a over the value's *wire encoding*.  Hashing
+   protocols built on top (merkle, conflict-sync) — identifies an
+   irreducible join-decomposition by the same stable 64-bit hash:
+   FNV-1a over the value's *wire encoding*.  Hashing
    through the codec means the scheme works for every catalogue CRDT by
    construction (each lattice already carries a total codec) and is
    stable across processes, unlike [Hashtbl.hash] on arbitrary OCaml

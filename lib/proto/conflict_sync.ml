@@ -9,12 +9,13 @@
     the wire cost of a catch-up scales with the symmetric difference
     [|⇓a △ ⇓b|] — the amount the peers actually diverged.
 
-    {b Steady state} is plain delta synchronization: local mutations and
-    received δ-groups accumulate in a per-origin buffer (BP: nothing is
-    echoed to its origin; RR: only the strictly-inflating part is
-    stored), and [tick] pushes the buffer to every neighbor.  Each tick
-    additionally piggybacks a constant-size [Digest] — a commutative
-    hash of [⇓x] — to every neighbor.
+    {b Steady state} is plain BP+RR delta synchronization through the
+    same {!Delta_buffer} as {!Delta_sync}: local mutations and received
+    δ-groups accumulate per origin (BP: nothing is echoed to its origin;
+    RR: only the strictly-inflating part is stored), and [tick] pushes the
+    buffer to every neighbor.  Each tick additionally piggybacks a
+    constant-size [Digest] — a commutative hash of [⇓x] — to every
+    neighbor.
 
     {b Divergence detection.}  A digest mismatch alone means nothing
     while deltas are in flight (the peers legitimately trail each other
@@ -115,6 +116,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
   Protocol_intf.PROTOCOL with type crdt = C.t and type op = C.op = struct
   module Imap = Map.Make (Int)
   module Iset = Set.Make (Int)
+  module Buf = Delta_buffer.Make (C)
   module Hash = Crdt_digest.Hash
   module Bloom = Crdt_digest.Bloom
   module Iblt = Crdt_digest.Iblt
@@ -157,8 +159,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
             between [load] and the first digest that needs it. *)
     now : int;  (** tick counter; everything below is volatile. *)
     next_sid : int;
-    pending : C.t;  (** running join of the δ-buffer. *)
-    groups : C.t Imap.t;  (** origin ↦ joined δ-group (BP). *)
+    buf : Buf.t;  (** the BP δ-buffer. *)
     streak : int Imap.t;  (** peer ↦ consecutive quiet digest mismatches. *)
     last_traffic : int Imap.t;  (** peer ↦ last tick a δ-group flowed. *)
     resync : Iset.t;  (** peers to force-sync with after a restart. *)
@@ -222,8 +223,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       digest = Some 0;
       now = 0;
       next_sid = sid_base id;
-      pending = C.bottom;
-      groups = Imap.empty;
+      buf = Buf.empty ~bp:true;
       streak = Imap.empty;
       last_traffic = Imap.empty;
       resync = Iset.empty;
@@ -238,8 +238,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       n with
       now = 0;
       next_sid = sid_base n.self;
-      pending = C.bottom;
-      groups = Imap.empty;
+      buf = Buf.clear n.buf;
       streak = Imap.empty;
       last_traffic = Imap.empty;
       resync = Iset.empty;
@@ -299,42 +298,20 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     in
     (table, keys)
 
-  (* δ-buffer store, BP+RR as in Delta_sync.  Both callers pass an
-     optimal delta: [absorb] extracts Δ(d,x), and [local_update] relies
-     on the CRDT contract that mᵟ(x) = Δ(m(x),x). *)
+  (* fun store(s, o).  Both callers pass an optimal delta, as [grow]
+     needs: [absorb] extracts Δ(d,x) (RR), and [local_update] relies on
+     the CRDT contract that mᵟ(x) = Δ(m(x),x). *)
   let store n delta origin =
-    let n = grow n delta in
-    {
-      n with
-      groups =
-        Imap.update origin
-          (function None -> Some delta | Some g -> Some (C.join g delta))
-          n.groups;
-      pending = C.join n.pending delta;
-    }
+    { (grow n delta) with buf = Buf.add n.buf ~origin delta }
 
   let absorb n ~src d =
-    let extracted = C.delta d n.x in
-    if C.is_bottom extracted then n else store n extracted src
+    match Buf.extract ~rr:true d n.x with
+    | Some d -> store n d src
+    | None -> n
 
   let local_update n op =
     let delta = C.delta_mutate op n.id n.x in
     if C.is_bottom delta then n else store n delta n.self
-
-  let exclusive_groups groups =
-    let arr = Array.of_list (Imap.bindings groups) in
-    let k = Array.length arr in
-    let suffix = Array.make (k + 1) C.bottom in
-    for i = k - 1 downto 0 do
-      suffix.(i) <- C.join (snd arr.(i)) suffix.(i + 1)
-    done;
-    let excl = ref Imap.empty and prefix = ref C.bottom in
-    for i = 0 to k - 1 do
-      let o, g = arr.(i) in
-      excl := Imap.add o (C.join !prefix suffix.(i + 1)) !excl;
-      prefix := C.join !prefix g
-    done;
-    !excl
 
   (* Message smart constructors: weight/bytes measured once, at build
      (and at decode — they never travel). *)
@@ -402,19 +379,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
             (n, msg :: acc))
         n.resync (n, [])
     in
-    (* δ-push, BP-filtered, as in Delta_sync. *)
-    let delta_msgs =
-      if C.is_bottom n.pending then []
-      else
-        let all = mk_delta n.pending in
-        let excl = exclusive_groups n.groups in
-        List.filter_map
-          (fun j ->
-            match Imap.find_opt j excl with
-            | Some g -> if C.is_bottom g then None else Some (j, mk_delta g)
-            | None -> Some (j, all))
-          n.neighbors
-    in
+    let delta_msgs = Buf.push n.buf ~neighbors:n.neighbors mk_delta in
     let n =
       List.fold_left
         (fun n (j, _) -> { n with last_traffic = Imap.add j n.now n.last_traffic })
@@ -423,7 +388,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     (* Constant-size divergence probe to every neighbor, every tick. *)
     let h, n = state_digest n in
     let digest_msgs = List.map (fun j -> (j, Digest { h })) n.neighbors in
-    let n = { n with pending = C.bottom; groups = Imap.empty } in
+    let n = { n with buf = Buf.clear n.buf } in
     (n, List.rev sync_msgs @ delta_msgs @ digest_msgs)
 
   (* --- session legs ------------------------------------------------------ *)
@@ -677,9 +642,8 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     Crdt_wire.Frame.framed_size
       ~payload_len:(Crdt_wire.Codec.encoded_size message_codec m)
 
-  let memory_weight n = C.weight n.x + C.weight n.pending
-
-  let memory_bytes n = C.byte_size n.x + C.byte_size n.pending
+  let memory_weight n = C.weight n.x + Buf.weight n.buf
+  let memory_bytes n = C.byte_size n.x + Buf.byte_size n.buf
 
   (* Streaks, traffic clocks and live session tables (snapshot tables
      count 8 B per key entry, difference tables 16 B per cell). *)

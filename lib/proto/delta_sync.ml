@@ -41,24 +41,23 @@
     makes the exchange safe under loss, so crash tolerance holds in
     every configuration; drop/partition tolerance additionally needs
     the ack machinery for ordinary traffic, hence is declared by
-    [ack_mode] only.  One guard closes the stale-incarnation hole: an
-    [Ack] whose sequence number exceeds [next_seq] can only refer to a
-    pre-crash incarnation (sequence numbers restart at 0) and is
-    ignored, otherwise a delayed old ack could evict fresh unacked
-    entries.
+    [ack_mode] only.  An [Ack] whose sequence number exceeds [next_seq]
+    can only refer to a pre-crash incarnation (sequence numbers restart
+    at 0) and is ignored.  That guard does {e not} close the
+    stale-incarnation hole: a delayed pre-crash [Ack] whose sequence
+    number is at most the new [next_seq] is honored and evicts fresh
+    entries that were never sent, so ack mode can fail to converge
+    after a crash.  The replayable schedule
+    [op:0,tick:0,dlv:0:1,dly:1:0,crash:0,rec:0,tick:0,dlv:0:1,dlv:1:0,op:0,rel:1:0,dlv:1:0]
+    shows it; closing the hole needs an incarnation tag on ack-mode
+    [Delta]/[Ack], which changes the wire format.
 
-    {b Buffer representation.}  In the common (non-ack) mode the δ-buffer
-    is {e not} a list of entries: it is one joined δ-group per origin
-    (maintained only under BP, which is the sole consumer of origin
-    tags), plus the running join of all of them.  [store] therefore
-    costs one join (two under BP) — O(1) amortized in the buffer length,
-    instead of the list-append O(|Bᵢ|) — and [tick] sends the
-    precomputed running join; under BP, the per-destination "everything
-    except what you sent me" groups are derived with O(origins)
-    prefix/suffix joins for the whole tick rather than a fold over the
-    full buffer per neighbor.  Only [ack_mode] keeps the seq-tagged entry
-    list, because selective eviction needs per-entry sequence numbers.
-    The RR extraction in [handle] uses the structural
+    {b Buffer representation.}  In the common (non-ack) mode the δ-buffer,
+    BP's origin filter and RR's extraction are {!Delta_buffer} — shared
+    with {!Conflict_sync}, so the paper's two optimizations are written
+    once.  Only [ack_mode] keeps a seq-tagged entry list here, because
+    selective eviction needs per-entry sequence numbers.  The RR
+    extraction uses the structural
     {!Crdt_core.Lattice_intf.DECOMPOSABLE.delta}, so no received δ-group
     is ever decomposed into singletons on the hot path.
 
@@ -93,7 +92,7 @@ end
 
 module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
   Protocol_intf.PROTOCOL with type crdt = C.t and type op = C.op = struct
-  module Origins = Map.Make (Int)
+  module Buf = Delta_buffer.Make (C)
   module Iset = Set.Make (Int)
 
   type crdt = C.t
@@ -110,13 +109,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     self : int;
     neighbors : int list;
     x : C.t;
-    groups : C.t Origins.t;
-        (** BP, non-ack mode: origin ↦ join of the δ-groups stored from
-            that origin since the last tick.  Empty when BP is off — only
-            BP consults origins, so the buffer is just [pending]. *)
-    pending : C.t;
-        (** [Bᵢ] in non-ack mode: join of every δ-group stored since the
-            last tick, maintained at [store]. *)
+    buf : Buf.t;  (** [Bᵢ] in non-ack mode; stays empty in ack mode. *)
     entries : entry list;  (** [Bᵢ] in ack mode only, newest first. *)
     next_seq : int;
     acked : Vclock.t;  (** ack mode: highest seq acked per neighbor. *)
@@ -156,8 +149,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       self = id;
       neighbors;
       x = C.bottom;
-      groups = Origins.empty;
-      pending = C.bottom;
+      buf = Buf.empty ~bp:cfg.bp;
       entries = [];
       next_seq = 0;
       acked = Vclock.empty;
@@ -170,8 +162,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
   let crash n =
     {
       n with
-      groups = Origins.empty;
-      pending = C.bottom;
+      buf = Buf.clear n.buf;
       entries = [];
       next_seq = 0;
       acked = Vclock.empty;
@@ -187,23 +178,13 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
   let load n s = recover { n with x = C.join n.x s }
 
   (* fun store(s, o) — lines 18-20: join into the local state and into
-     the origin's δ-group (non-ack), or cons a seq-tagged entry (ack).
-     Either way the cost is independent of the buffer length. *)
+     the δ-buffer (non-ack), or cons a seq-tagged entry (ack).  Either
+     way the cost is independent of the buffer length. *)
   let store n delta origin =
     let n = { n with x = C.join n.x delta; next_seq = n.next_seq + 1 } in
     if cfg.ack_mode then
       { n with entries = { delta; origin; seq = n.next_seq - 1 } :: n.entries }
-    else
-      {
-        n with
-        groups =
-          (if cfg.bp then
-             Origins.update origin
-               (function None -> Some delta | Some g -> Some (C.join g delta))
-               n.groups
-           else n.groups);
-        pending = C.join n.pending delta;
-      }
+    else { n with buf = Buf.add n.buf ~origin delta }
 
   let local_update n op =
     let delta = C.delta_mutate op n.id n.x in
@@ -218,25 +199,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         else if e.seq < Vclock.get j n.acked then acc
         else C.join acc e.delta)
       C.bottom n.entries
-
-  (* BP, non-ack: for each origin [o], the join of every {e other}
-     origin's δ-group, computed with prefix/suffix running joins —
-     O(origins) joins total for the whole tick, versus the former
-     fold-the-whole-buffer per neighbor. *)
-  let exclusive_groups groups =
-    let arr = Array.of_list (Origins.bindings groups) in
-    let k = Array.length arr in
-    let suffix = Array.make (k + 1) C.bottom in
-    for i = k - 1 downto 0 do
-      suffix.(i) <- C.join (snd arr.(i)) suffix.(i + 1)
-    done;
-    let excl = ref Origins.empty and prefix = ref C.bottom in
-    for i = 0 to k - 1 do
-      let o, g = arr.(i) in
-      excl := Origins.add o (C.join !prefix suffix.(i + 1)) !excl;
-      prefix := C.join !prefix g
-    done;
-    !excl
 
   let mk_delta group seq =
     Delta { group; seq; weight = C.weight group; bytes = C.byte_size group }
@@ -259,33 +221,15 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
           (fun j -> if Iset.mem j n.need_sync then Some (j, req) else None)
           n.neighbors
     in
-    let msgs =
+    let n, msgs =
       if cfg.ack_mode then
-        List.filter_map
-          (fun j ->
-            let g = group_for_ack n j in
-            if C.is_bottom g then None else Some (j, mk_delta g n.next_seq))
-          n.neighbors
-      else if C.is_bottom n.pending then []
-      else
-        (* The full buffer goes to every non-origin neighbor: measure it
-           once and share the message costs across those sends. *)
-        let all = mk_delta n.pending n.next_seq in
-        let excl =
-          if cfg.bp then exclusive_groups n.groups else Origins.empty
+        let msgs =
+          List.filter_map
+            (fun j ->
+              let g = group_for_ack n j in
+              if C.is_bottom g then None else Some (j, mk_delta g n.next_seq))
+            n.neighbors
         in
-        List.filter_map
-          (fun j ->
-            match Origins.find_opt j excl with
-            | Some g ->
-                (* j is an origin: everything but its own. *)
-                if C.is_bottom g then None else Some (j, mk_delta g n.next_seq)
-            | None -> Some (j, all))
-          n.neighbors
-    in
-    let msgs = sync_msgs @ msgs in
-    let n =
-      if cfg.ack_mode then
         (* Keep entries until every neighbor that must receive them (under
            BP, everyone but their origin) has acked past them. *)
         let entries =
@@ -298,28 +242,31 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
                 n.neighbors)
             n.entries
         in
-        { n with entries }
-      else { n with groups = Origins.empty; pending = C.bottom }
+        ({ n with entries }, msgs)
+      else
+        let msgs =
+          Buf.push n.buf ~neighbors:n.neighbors (fun g -> mk_delta g n.next_seq)
+        in
+        ({ n with buf = Buf.clear n.buf }, msgs)
     in
-    (n, msgs)
+    (n, sync_msgs @ msgs)
 
-  (* Absorb a received δ-group/state according to the configuration:
-     RR extracts Δ(d, xᵢ), classic stores d whole iff d ⋢ xᵢ.  Stored
-     with [src] as origin, so it re-enters the buffer and propagates. *)
+  (* Absorb a received δ-group/state according to the configuration
+     (RR or classic, see {!Delta_buffer.Make.extract}).  Stored with [src]
+     as origin, so it re-enters the buffer and propagates. *)
   let absorb n ~src d =
-    if cfg.rr then begin
-      let extracted = C.delta d n.x in
-      if C.is_bottom extracted then n else store n extracted src
-    end
-    else if C.leq d n.x then n
-    else store n d src
+    match Buf.extract ~rr:cfg.rr d n.x with
+    | Some d -> store n d src
+    | None -> n
 
   let handle n ~src d =
     match d with
     | Ack { seq } ->
         (* A seq we never issued can only come from a pre-crash
            incarnation of this replica (numbering restarted at 0):
-           honoring it would evict fresh unacked entries. *)
+           honoring it would evict fresh unacked entries.  An older
+           incarnation's ack at or below [next_seq] still gets through
+           (see the crash–recovery note above). *)
         if seq > n.next_seq then (n, [])
         else
           let acked =
@@ -391,24 +338,15 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     Crdt_wire.Frame.framed_size
       ~payload_len:(Crdt_wire.Codec.encoded_size message_codec m)
 
-  (* The buffer [Bᵢ]: seq-tagged entries (ack), per-origin groups (BP),
-     or the single joined pending group (classic/RR, where origins are
-     never consulted). *)
-  let buffer_weight n =
+  (* The buffer [Bᵢ]: seq-tagged entries measured with [f] (ack), or the
+     δ-buffer measured with [buf_size]. *)
+  let buffer_size f buf_size n =
     if cfg.ack_mode then
-      List.fold_left (fun acc e -> acc + C.weight e.delta) 0 n.entries
-    else if cfg.bp then Origins.fold (fun _ g acc -> acc + C.weight g) n.groups 0
-    else C.weight n.pending
+      List.fold_left (fun acc e -> acc + f e.delta) 0 n.entries
+    else buf_size n.buf
 
-  let buffer_bytes n =
-    if cfg.ack_mode then
-      List.fold_left (fun acc e -> acc + C.byte_size e.delta) 0 n.entries
-    else if cfg.bp then
-      Origins.fold (fun _ g acc -> acc + C.byte_size g) n.groups 0
-    else C.byte_size n.pending
-
-  let memory_weight n = C.weight n.x + buffer_weight n
-  let memory_bytes n = C.byte_size n.x + buffer_bytes n
+  let memory_weight n = C.weight n.x + buffer_size C.weight Buf.weight n
+  let memory_bytes n = C.byte_size n.x + buffer_size C.byte_size Buf.byte_size n
 
   (* Delta-based metadata: one sequence number per neighbor (Fig. 9). *)
   let metadata_memory_bytes n = 8 * List.length n.neighbors

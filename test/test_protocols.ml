@@ -10,12 +10,17 @@ module Workload = Crdt_engine.Workload
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_float = Alcotest.(check (float 0.))
 
 module S = Gset.Of_string
 module Classic = Delta_sync.Make (S) (Delta_sync.Classic_config)
 module Bp = Delta_sync.Make (S) (Delta_sync.Bp_config)
 module Rr = Delta_sync.Make (S) (Delta_sync.Rr_config)
 module BpRr = Delta_sync.Make (S) (Delta_sync.Bp_rr_config)
+
+(* Conflict-sync's steady state is BP+RR delta push (plus payload-free
+   digests), so it must pass the paper's BP and RR scenarios too. *)
+module Cs = Conflict_sync.Make (S) (Conflict_sync.Default_config)
 
 (* -- Fig. 4: back-propagation of δ-groups ------------------------------ *)
 
@@ -38,6 +43,7 @@ end
 
 module Fig4_classic = Fig4 (Classic)
 module Fig4_bp = Fig4 (Bp)
+module Fig4_cs = Fig4 (Cs)
 
 let fig4_tests =
   [
@@ -45,6 +51,8 @@ let fig4_tests =
       (fun () -> check_int "payload" 2 (Fig4_classic.sent_back_to_b ()));
     Alcotest.test_case "BP sends only {a} (1 element)" `Quick (fun () ->
         check_int "payload" 1 (Fig4_bp.sent_back_to_b ()));
+    Alcotest.test_case "conflict-sync sends only {a} (1 element)" `Quick
+      (fun () -> check_int "payload" 1 (Fig4_cs.sent_back_to_b ()));
   ]
 
 (* -- Fig. 5: redundant state in received δ-groups ---------------------- *)
@@ -79,6 +87,7 @@ end
 module Fig5_classic = Fig5 (Classic)
 module Fig5_rr = Fig5 (Rr)
 module Fig5_bprr = Fig5 (BpRr)
+module Fig5_cs = Fig5 (Cs)
 
 let fig5_tests =
   [
@@ -88,6 +97,8 @@ let fig5_tests =
         check_int "payload" 1 (Fig5_rr.forwarded_to_d ()));
     Alcotest.test_case "BP+RR forwards only {a}" `Quick (fun () ->
         check_int "payload" 1 (Fig5_bprr.forwarded_to_d ()));
+    Alcotest.test_case "conflict-sync forwards only {a}" `Quick (fun () ->
+        check_int "payload" 1 (Fig5_cs.forwarded_to_d ()));
   ]
 
 (* -- Convergence matrix ------------------------------------------------- *)
@@ -270,34 +281,47 @@ let ordering_tests =
    the unique spanning paths: each element crosses each of the n−1 edges
    exactly once, so the full-run payload is exactly elements × edges.
    This is the strongest form of the paper's "BP suffices on trees"
-   claim. *)
+   claim.  Conflict-sync's steady state is the same BP+RR push, and its
+   digests carry no payload, so it must hit the same figure. *)
 module Opt = Runner.Make (Delta_sync.Make (Si) (Delta_sync.Bp_rr_config))
 module Opt_bp = Runner.Make (Delta_sync.Make (Si) (Delta_sync.Bp_config))
 
-let tree_optimality_tests =
-  let full_payload rounds quiesce =
-    let sum arr =
-      Array.fold_left (fun acc (r : Metrics.round) -> acc + r.Metrics.payload) 0 arr
-    in
-    sum rounds + sum quiesce
+let full_payload rounds quiesce =
+  let sum arr =
+    Array.fold_left (fun acc (r : Metrics.round) -> acc + r.Metrics.payload) 0 arr
   in
-  [
-    Alcotest.test_case "BP+RR tree payload = elements × edges, exactly"
-      `Quick (fun () ->
+  sum rounds + sum quiesce
+
+module Tree_optimal (P : Protocol_intf.PROTOCOL
+                       with type crdt = Si.t
+                        and type op = int) =
+struct
+  module R = Runner.Make (P)
+
+  let case name =
+    Alcotest.test_case name `Quick (fun () ->
         List.iter
           (fun (n, rounds) ->
             let topo = Topology.tree n in
             let res =
-              Opt.run ~equal:Si.equal ~topology:topo ~rounds
+              R.run ~equal:Si.equal ~topology:topo ~rounds
                 ~ops:(fun ~round ~node _ -> Workload.gset ~nodes:n ~round ~node ())
                 ()
             in
-            check "converged" true res.Opt.converged;
+            check "converged" true res.R.converged;
             check_int
               (Printf.sprintf "n=%d rounds=%d" n rounds)
               (rounds * n * (n - 1))
-              (full_payload res.Opt.rounds res.Opt.quiesce_rounds))
-          [ (7, 10); (15, 6); (3, 20) ]);
+              (full_payload res.R.rounds res.R.quiesce_rounds))
+          [ (7, 10); (15, 6); (3, 20) ])
+end
+
+module Tree_bprr = Tree_optimal (Delta_sync.Make (Si) (Delta_sync.Bp_rr_config))
+module Tree_cs = Tree_optimal (Conflict_sync.Make (Si) (Conflict_sync.Default_config))
+
+let tree_optimality_tests =
+  [
+    Tree_bprr.case "BP+RR tree payload = elements × edges, exactly";
     Alcotest.test_case "BP alone reaches the same optimum on trees" `Quick
       (fun () ->
         let n = 15 and rounds = 6 in
@@ -319,6 +343,7 @@ let tree_optimality_tests =
         in
         check_int "exact" (rounds * n * (n - 1))
           (full_payload res.Opt.rounds res.Opt.quiesce_rounds));
+    Tree_cs.case "conflict-sync tree payload = elements × edges, exactly";
   ]
 
 (* -- GCounter as the GMap 100% special case ------------------------------ *)
@@ -467,6 +492,32 @@ let fault_tests =
 
 (* -- Memory accounting -------------------------------------------------- *)
 
+(* Fig. 10's fault-free GMap 100% cell at quick scale (15-node partial
+   mesh, 30 rounds, 1000 keys): average resident elements over the whole
+   run, convergence tail included.  Conflict-sync buffers through the
+   same δ-buffer as delta-BP+RR, so the two must report the same figure. *)
+module Mem (P : Protocol_intf.PROTOCOL
+               with type crdt = Gmap.Versioned.t
+                and type op = Gmap.Versioned.op) =
+struct
+  module R = Runner.Make (P)
+
+  let avg_resident () =
+    let nodes = 15 in
+    let res =
+      R.run ~equal:Gmap.Versioned.equal ~topology:(Topology.partial_mesh nodes)
+        ~rounds:30
+        ~ops:(fun ~round ~node state ->
+          Workload.gmap ~total_keys:1000 ~k:100 ~nodes ~round ~node state)
+        ()
+    in
+    check "converged" true res.R.converged;
+    (R.full_summary res).Metrics.avg_memory_weight
+end
+
+module Mem_bprr = Mem (Delta_sync.Make (Gmap.Versioned) (Delta_sync.Bp_rr_config))
+module Mem_cs = Mem (Conflict_sync.Make (Gmap.Versioned) (Conflict_sync.Default_config))
+
 let memory_tests =
   [
     Alcotest.test_case "state-based stores no metadata (Fig. 10 baseline)"
@@ -486,6 +537,10 @@ let memory_tests =
         check_int "with buffer" 4 (P.memory_weight n);
         let n, _ = P.tick n in
         check_int "after flush" 2 (P.memory_weight n));
+    Alcotest.test_case "conflict-sync and BP+RR: one buffer, one memory figure"
+      `Quick (fun () ->
+        check_float "Fig. 10 GMap 100% avg resident elements"
+          (Mem_bprr.avg_resident ()) (Mem_cs.avg_resident ()));
   ]
 
 let () =
