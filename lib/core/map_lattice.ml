@@ -9,15 +9,28 @@
     Invariant: no key is ever bound to [⊥] (such a binding is
     indistinguishable from absence and would break [equal]/[weight]).
 
-    {b Cached sizes.}  The representation carries the map's total weight
-    and byte size, maintained incrementally: [join] corrects the sum of
-    both operands' sizes by the overlap on collided keys (which the union
-    callback visits anyway), [set] adjusts by the replaced binding.
-    [weight] and [byte_size] are therefore O(1) — they sit on the
-    simulator's per-message accounting and per-round memory-snapshot hot
-    paths, where the former fold-the-whole-map cost dominated profiles.
-    When the value lattice itself caches its sizes (e.g. nested maps),
-    the per-collision correction stays O(1) too. *)
+    {b Shared structure.}  The bindings live in an {!Avl.Map} keyed by
+    [K.compare], so every codec, weight and byte stays what it was on
+    Stdlib's [Map].  [set] and [join] rebuild only the paths to the keys
+    they change and return their first operand physically when nothing
+    changes ([join x d == x] whenever [d ⊑ x]), so a state and a recent
+    version of it — the last persisted image, the state before a
+    delivery — share every untouched subtree.  [delta], [leq], [equal]
+    and [redundancy] walk both trees together and skip shared subtrees,
+    so Δ(x′, x), [x ⊑ x′] and [x′ = x] cost the change times the height,
+    not the state.  When one operand has a single binding or at most an
+    eighth of the other's (a δ-group against a state), [delta], [leq] and
+    [redundancy] instead walk the small one with a lookup into the big
+    one, O(small · log big).
+
+    {b Cached sizes.}  The representation carries the map's cardinal,
+    total weight and byte size.  [join] starts from the sum of both
+    operands' sizes and subtracts the overlap on collided keys (which the
+    union callback visits anyway); [set] adjusts by the replaced binding;
+    Δ and redundancy results are measured by one fold over the result,
+    which is as small as the change.  [weight] and [byte_size] are
+    therefore O(1) — they sit on the simulator's per-message accounting
+    and per-round memory-snapshot hot paths. *)
 
 module type KEY = sig
   type t
@@ -53,7 +66,7 @@ module Make (K : KEY) (V : Lattice_intf.DECOMPOSABLE) : sig
   val fold : (K.t -> V.t -> 'a -> 'a) -> t -> 'a -> 'a
   val of_list : (K.t * V.t) list -> t
 end = struct
-  module M = Map.Make (K)
+  module M = Avl.Map (K)
 
   type t = {
     m : V.t M.t;
@@ -67,157 +80,128 @@ end = struct
   let weight t = t.w
   let byte_size t = t.b
 
-  let join_union t1 t2 =
-    (* Start from the disjoint sum and subtract the overlap: the union
-       callback runs exactly on the collided keys, where the key and the
-       two value sizes were each counted twice. *)
-    let c = ref (t1.c + t2.c) in
-    let w = ref (t1.w + t2.w) and b = ref (t1.b + t2.b) in
-    let m =
-      M.union
-        (fun k v1 v2 ->
-          let v = V.join v1 v2 in
-          decr c;
-          w := !w - V.weight v1 - V.weight v2 + V.weight v;
-          b :=
-            !b - K.byte_size k - V.byte_size v1 - V.byte_size v2
-            + V.byte_size v;
-          Some v)
-        t1.m t2.m
-    in
-    { m; c = !c; w = !w; b = !b }
+  (* A tree built from [t]'s: [t] itself when it kept all of it, else
+     measured by one fold. *)
+  let of_tree t m =
+    if m == t.m then t
+    else if M.is_empty m then bottom
+    else
+      let c = ref 0 and w = ref 0 and b = ref 0 in
+      M.iter
+        (fun k v ->
+          incr c;
+          w := !w + V.weight v;
+          b := !b + K.byte_size k + V.byte_size v)
+        m;
+      { m; c = !c; w = !w; b = !b }
+
+  let join t1 t2 =
+    if t1.m == t2.m then t1
+    else
+      (* Start from the disjoint sum and subtract the overlap: the union
+         callback runs exactly on the collided keys, where the key and
+         the two value sizes were each counted twice. *)
+      let c = ref (t1.c + t2.c) in
+      let w = ref (t1.w + t2.w) and b = ref (t1.b + t2.b) in
+      let m =
+        M.union
+          (fun k v1 v2 ->
+            let v = V.join v1 v2 in
+            decr c;
+            w := !w - V.weight v1 - V.weight v2 + V.weight v;
+            b :=
+              !b - K.byte_size k - V.byte_size v1 - V.byte_size v2
+              + V.byte_size v;
+            v)
+          t1.m t2.m
+      in
+      if m == t1.m then t1
+      else if m == t2.m then t2
+      else { m; c = !c; w = !w; b = !b }
 
   let find k t = match M.find_opt k t.m with Some v -> v | None -> V.bottom
 
-  (* The order check picks its walk by the cached cardinals.  A key
-     present only in [m1] violates the order directly (the no-⊥-binding
-     invariant means its value is non-bottom), so [c1 > c2] is an O(1)
-     refutation by pigeonhole.  A small [m1] against a large [m2] — the
-     δ-group-vs-state shape — walks only [m1] with O(log |m2|) lookups;
-     comparable sizes use an allocation-free simultaneous walk over both
-     ascending sequences.  (A [merge]-based walk would allocate the
-     merged map just to discard it.)  Both walks short-circuit at the
-     first violating key. *)
-  let leq_lookup m1 m2 =
-    M.for_all
-      (fun k v1 ->
-        match M.find_opt k m2 with Some v2 -> V.leq v1 v2 | None -> false)
-      m1
+  (* Whether [t1] is walked with a lookup per binding into [t2] (the
+     δ-group-vs-state shape) instead of together with [t2]. *)
+  let small t1 t2 = t1.c <= 1 || 8 * t1.c <= t2.c
 
-  let leq_walk m1 m2 =
-    let rec go s1 s2 =
-      match s1 () with
-      | Seq.Nil -> true
-      | Seq.Cons ((k1, v1), s1') ->
-          let rec advance s2 =
-            match s2 () with
-            | Seq.Nil -> false (* k1 (and the rest of m1) missing in m2. *)
-            | Seq.Cons ((k2, v2), s2') -> (
-                match K.compare k1 k2 with
-                | n when n < 0 -> false (* k1 missing in m2. *)
-                | 0 -> V.leq v1 v2 && go s1' s2'
-                | _ -> advance s2')
-          in
-          advance s2
-    in
-    go (M.to_seq m1) (M.to_seq m2)
-
+  (* A key bound only in [t1] violates the order (its value is non-⊥),
+     so [c1 > c2] refutes it at once. *)
   let leq t1 t2 =
     t1.m == t2.m
     || t1.c <= t2.c
        &&
-       if 8 * t1.c <= t2.c then leq_lookup t1.m t2.m
-       else leq_walk t1.m t2.m
+       if small t1 t2 then
+         M.for_all
+           (fun k v1 ->
+             match M.find_opt k t2.m with
+             | Some v2 -> V.leq v1 v2
+             | None -> false)
+           t1.m
+       else M.sub V.leq t1.m t2.m
 
-  let equal t1 t2 = t1.m == t2.m || (t1.w = t2.w && M.equal V.equal t1.m t2.m)
+  (* Same cardinal and every binding of [t1] equal in [t2]. *)
+  let equal t1 t2 =
+    t1.m == t2.m
+    || (t1.c = t2.c && t1.w = t2.w && t1.b = t2.b && M.sub V.equal t1.m t2.m)
+
   let compare t1 t2 = M.compare V.compare t1.m t2.m
+
+  let singleton_of k d =
+    {
+      m = M.singleton k d;
+      c = 1;
+      w = V.weight d;
+      b = K.byte_size k + V.byte_size d;
+    }
 
   let decompose t =
     M.fold
       (fun k v acc ->
         List.fold_left
-          (fun acc d ->
-            {
-              m = M.singleton k d;
-              c = 1;
-              w = V.weight d;
-              b = K.byte_size k + V.byte_size d;
-            }
-            :: acc)
+          (fun acc d -> singleton_of k d :: acc)
           acc (V.decompose v))
       t.m []
 
   let fold_decompose f t acc =
     M.fold
       (fun k v acc ->
-        V.fold_decompose
-          (fun d acc ->
-            f
-              {
-                m = M.singleton k d;
-                c = 1;
-                w = V.weight d;
-                b = K.byte_size k + V.byte_size d;
-              }
-              acc)
-          v acc)
+        V.fold_decompose (fun d acc -> f (singleton_of k d) acc) v acc)
       t.m acc
 
-  (* Binds a key absent from [acc] to a non-⊥ value. *)
-  let add_new k v acc =
-    {
-      m = M.add k v acc.m;
-      c = acc.c + 1;
-      w = acc.w + V.weight v;
-      b = acc.b + K.byte_size k + V.byte_size v;
-    }
+  let unless_bottom d = if V.is_bottom d then None else Some d
+  let delta_value v1 v2 = unless_bottom (V.delta v1 v2)
+  let covered v1 v2 = unless_bottom (V.redundancy v1 v2)
 
-  (* Δ is pointwise: keys only in [m1] survive whole, shared keys recurse
-     into the value lattice, keys only in [m2] contribute nothing.  Like
-     [leq], this walks only [m1] with lookups into [m2] — the common call
-     is Δ(small received δ-group, large local state), where a
-     simultaneous merge walk would traverse the whole state per
-     message. *)
+  (* Δ is pointwise: keys only in [t1] survive whole, shared keys recurse
+     into the value lattice, keys only in [t2] contribute nothing. *)
   let delta t1 t2 =
-    M.fold
-      (fun k v1 acc ->
-        match M.find_opt k t2.m with
-        | None -> add_new k v1 acc
-        | Some v2 ->
-            let d = V.delta v1 v2 in
-            if V.is_bottom d then acc else add_new k d acc)
-      t1.m bottom
+    if is_bottom t1 || is_bottom t2 then t1
+    else if small t1 t2 then
+      of_tree t1
+        (M.filter_map
+           (fun k v1 ->
+             match M.find_opt k t2.m with
+             | None -> Some v1
+             | Some v2 -> delta_value v1 v2)
+           t1.m)
+    else of_tree t1 (M.diff delta_value t1.m t2.m)
 
-  (* Only keys bound in both operands carry covered irreducibles, so the
-     walk takes whichever operand the cached cardinals say is smaller and
-     looks each key up in the other — the common call is
-     redundancy(state, one-key δ), which costs one lookup. *)
+  (* Only keys bound in both operands carry covered irreducibles; a
+     lopsided pair walks the smaller operand (redundancy(state, one-key
+     δ) costs one lookup). *)
   let redundancy t1 t2 =
-    let covered k v1 v2 acc =
-      let r = V.redundancy v1 v2 in
-      if V.is_bottom r then acc else add_new k r acc
+    let walk t1 t2 f =
+      of_tree t1
+        (M.filter_map
+           (fun k v1 ->
+             match M.find_opt k t2.m with None -> None | Some v2 -> f v1 v2)
+           t1.m)
     in
-    if t1.c <= t2.c then
-      M.fold
-        (fun k v1 acc ->
-          match M.find_opt k t2.m with
-          | None -> acc
-          | Some v2 -> covered k v1 v2 acc)
-        t1.m bottom
-    else
-      M.fold
-        (fun k v2 acc ->
-          match M.find_opt k t1.m with
-          | None -> acc
-          | Some v1 -> covered k v1 v2 acc)
-        t2.m bottom
-
-  (* Note: a Δ-based join ([a ⊔ b = b ⊔ Δ(a,b)], extracting the smaller
-     operand's strictly-new part before a small-vs-big union) measured
-     {e slower} than the plain union on the anti-entropy shapes it
-     targets — the stdlib union is already subtree-sharing and
-     split-based, so the extra lookup walk never pays for itself. *)
-  let join = join_union
+    if is_bottom t1 || is_bottom t2 then bottom
+    else if small t2 t1 then walk t2 t1 (fun v2 v1 -> covered v1 v2)
+    else if small t1 t2 then walk t1 t2 covered
+    else of_tree t1 (M.inter covered t1.m t2.m)
 
   let pp ppf t =
     let pp_binding ppf (k, v) =
@@ -230,16 +214,7 @@ end = struct
       (M.bindings t.m)
 
   let empty = bottom
-
-  let singleton k v =
-    if V.is_bottom v then bottom
-    else
-      {
-        m = M.singleton k v;
-        c = 1;
-        w = V.weight v;
-        b = K.byte_size k + V.byte_size v;
-      }
+  let singleton k v = if V.is_bottom v then bottom else singleton_of k v
 
   let set k v t =
     let old = M.find_opt k t.m in
@@ -253,19 +228,34 @@ end = struct
       | None -> t
       | Some _ -> { m = M.remove k t.m; c = t.c - 1; w; b }
     else
-      {
-        m = M.add k v t.m;
-        c = (if old = None then t.c + 1 else t.c);
-        w = w + V.weight v;
-        b = b + K.byte_size k + V.byte_size v;
-      }
+      let m = M.add k v t.m in
+      if m == t.m then t
+      else
+        {
+          m;
+          c = (if old = None then t.c + 1 else t.c);
+          w = w + V.weight v;
+          b = b + K.byte_size k + V.byte_size v;
+        }
 
   let join_entry k v t = join t (singleton k v)
   let cardinal t = t.c
   let bindings t = M.bindings t.m
-  let keys t = List.map fst (M.bindings t.m)
+  let keys t = M.keys t.m
   let fold f t acc = M.fold f t.m acc
-  let of_list l = List.fold_left (fun t (k, v) -> set k v t) bottom l
+
+  (* A canonical list (strictly increasing keys, no ⊥ value — what the
+     codec writes) is built balanced in one pass; anything else is
+     folded through [set]. *)
+  let of_list l =
+    let rec canonical = function
+      | [] -> true
+      | [ (_, v) ] -> not (V.is_bottom v)
+      | (k1, v1) :: ((k2, _) :: _ as rest) ->
+          (not (V.is_bottom v1)) && K.compare k1 k2 < 0 && canonical rest
+    in
+    if canonical l then of_tree bottom (M.of_sorted_list fst snd l)
+    else List.fold_left (fun t (k, v) -> set k v t) bottom l
 
   (* Encoded as the sorted binding list.  Decoding goes through
      [of_list]/[set], which rebuilds the cached sizes and drops any

@@ -87,12 +87,19 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
         msgs
     end
 
-  let deliver t ~round ~src ?(copies = 1) ~emit msg =
+  let deliver t ~round ~src ?(copies = 1) ?wire_bytes ~emit msg =
+    let wire_bytes =
+      if not t.exact then 0
+      else
+        match wire_bytes with
+        | Some n -> n
+        | None -> P.message_wire_bytes msg
+    in
     t.sink.recv ~node:t.id ~src ~round ~weight:(P.payload_weight msg)
       ~metadata:(P.metadata_weight msg)
       ~payload_bytes:(P.payload_bytes msg)
       ~metadata_bytes:(P.metadata_bytes msg)
-      ~wire_bytes:(if t.exact then P.message_wire_bytes msg else 0);
+      ~wire_bytes;
     for _ = 1 to copies do
       t.sink.deliver ~node:t.id ~src ~round;
       let prev = t.node in

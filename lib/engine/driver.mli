@@ -59,6 +59,7 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) : sig
     round:int ->
     src:int ->
     ?copies:int ->
+    ?wire_bytes:int ->
     emit:(dest:int -> P.message -> unit) ->
     P.message ->
     unit
@@ -67,7 +68,9 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) : sig
       faults) applications of [P.handle], each reported as a [Deliver];
       replies go through [emit] with their own [Send] events.  The caller
       must not deliver to a down replica (messages to crashed nodes are
-      the transport's drops). *)
+      the transport's drops).  [wire_bytes] is the message's framed size
+      when the transport already knows it (a socket read the frame);
+      without it, exact accounting re-encodes the message to size it. *)
 
   val crash : t -> round:int -> unit
   (** [P.crash] + mark down + [Crash] event. *)

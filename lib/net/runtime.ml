@@ -447,6 +447,8 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     else if kind = kind_message then begin
       let src = src_of ib in
       D.deliver st.drv ~round:tick ~src
+        ~wire_bytes:
+          (Crdt_wire.Frame.framed_size ~payload_len:(String.length payload))
         ~emit:(fun ~dest m -> ship st dest m)
         (decode_message ~src payload)
     end
@@ -689,6 +691,9 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
           List.iter
             (fun (src, payload) ->
               D.deliver st.drv ~round ~src
+                ~wire_bytes:
+                  (Crdt_wire.Frame.framed_size
+                     ~payload_len:(String.length payload))
                 ~emit:(fun ~dest m ->
                   st.pending_out <- (dest, m) :: st.pending_out)
                 (decode_message ~src payload))

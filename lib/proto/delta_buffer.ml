@@ -26,7 +26,11 @@ module Make (C : Protocol_intf.CRDT) = struct
   }
 
   let empty ~bp = { bp; by_origin = Origins.empty; all = C.bottom }
-  let clear b = empty ~bp:b.bp
+  let is_empty b = C.is_bottom b.all && Origins.is_empty b.by_origin
+
+  (* An empty buffer is returned as is, so an idle tick allocates
+     nothing. *)
+  let clear b = if is_empty b then b else empty ~bp:b.bp
 
   (* The buffer half of fun store(s, o), lines 18–20. *)
   let add b ~origin d =

@@ -247,7 +247,8 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         let msgs =
           Buf.push n.buf ~neighbors:n.neighbors (fun g -> mk_delta g n.next_seq)
         in
-        ({ n with buf = Buf.clear n.buf }, msgs)
+        let buf = Buf.clear n.buf in
+        ((if buf == n.buf then n else { n with buf }), msgs)
     in
     (n, sync_msgs @ msgs)
 

@@ -140,25 +140,31 @@ end = struct
     List.fold_left add [] per_object
     |> List.map (fun (dest, msgs) -> (dest, List.rev msgs))
 
+  (* Only objects whose node changed are re-added, and a tick that
+     changes nothing and sends nothing returns [n] itself, so idle
+     objects cost one [P.tick] call and no allocation. *)
   let tick n =
     let objects = ref n.objects in
     let outbound = ref [] in
     Km.iter
       (fun k o ->
-        let o, msgs = P.tick o in
-        objects := Km.add k o !objects;
+        let o', msgs = P.tick o in
+        if o' != o then objects := Km.add k o' !objects;
         List.iter
           (fun (dest, m) -> outbound := (dest, (k, m)) :: !outbound)
           msgs)
       n.objects;
-    let batches =
-      batch_by_dest (List.rev !outbound)
-      |> List.map (fun (dest, msgs) -> (dest, Batch msgs))
-    in
     let manifest_reqs =
       Iset.fold (fun j acc -> (j, ManifestReq) :: acc) n.manifest_from []
     in
-    ({ n with objects = !objects }, manifest_reqs @ batches)
+    if !objects == n.objects && !outbound = [] && manifest_reqs = [] then
+      (n, [])
+    else
+      let batches =
+        batch_by_dest (List.rev !outbound)
+        |> List.map (fun (dest, msgs) -> (dest, Batch msgs))
+      in
+      ({ n with objects = !objects }, manifest_reqs @ batches)
 
   let handle n ~src msg =
     match msg with

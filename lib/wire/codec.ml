@@ -311,10 +311,27 @@ let encode_to_string c x =
   encode_into buf c x;
   Buffer.contents buf
 
+(* One scratch buffer per domain.  [encoded_size] measures from the
+   buffer's current length and truncates back to it, so a codec's
+   [write] may itself call [encoded_size].  The outermost call drops a
+   buffer that has grown past 4 KiB: keeping up to 64 KiB sized large
+   messages faster but raised the peak memory of a simulated Retwis run
+   by about a fifth. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 64)
+
+(** The length of [x]'s encoding, without keeping the bytes. *)
 let encoded_size c x =
-  let buf = Buffer.create 64 in
-  c.write buf x;
-  Buffer.length buf
+  let buf = Domain.DLS.get scratch in
+  let start = Buffer.length buf in
+  match c.write buf x with
+  | () ->
+      let n = Buffer.length buf - start in
+      if start = 0 && Buffer.length buf > 4096 then Buffer.reset buf
+      else Buffer.truncate buf start;
+      n
+  | exception e ->
+      Buffer.truncate buf start;
+      raise e
 
 (** Decode a complete value from [s]; trailing bytes are an error (a
     frame carries exactly one value). *)

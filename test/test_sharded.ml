@@ -46,6 +46,23 @@ let basics =
         let n, _ = Sh.tick n in
         let _, msgs = Sh.tick n in
         check "silent" true (msgs = []));
+    Alcotest.test_case "an idle tick returns the node itself" `Quick
+      (fun () ->
+        (* Once the buffers have drained, neither the per-object
+           delta-bp+rr nodes nor the sharded node are rebuilt. *)
+        let n = Sh.init ~id:0 ~neighbors:[ 1 ] ~total:2 in
+        let n = Sh.local_update n (1, "x") in
+        let n = Sh.local_update n (2, "y") in
+        let n, msgs = Sh.tick n in
+        check "first tick sends" true (msgs <> []);
+        let n', msgs = Sh.tick n in
+        check "silent" true (msgs = []);
+        check "same sharded node" true (n' == n);
+        let o = One.init ~id:0 ~neighbors:[ 1; 2 ] ~total:3 in
+        let o, _ = One.tick (One.local_update o "x") in
+        let o', msgs = One.tick o in
+        check "delta-bp+rr: silent" true (msgs = []);
+        check "delta-bp+rr: same node" true (o' == o));
   ]
 
 let equality_tests =

@@ -425,6 +425,46 @@ struct
               (Frame.encode ~kind:1 enc)
               (Buffer.contents framed))
           msgs)
+
+  (* [encoded_size] measures in a per-domain scratch buffer instead of
+     encoding into a fresh one: it must equal the encoded length on this
+     domain, on a second domain, and when called from inside another
+     codec's [write] (which shares the scratch buffer with it). *)
+  let test_sized =
+    Alcotest.test_case (W.name ^ ": encoded_size is the encoded length")
+      `Quick
+      (fun () ->
+        let msgs = collect () in
+        check "harvested some messages" true (msgs <> []);
+        let sized () =
+          List.for_all
+            (fun m ->
+              Codec.encoded_size P.message_codec m
+              = String.length (Codec.encode_to_string P.message_codec m))
+            msgs
+        in
+        check "this domain" true (sized ());
+        check "second domain" true (Domain.join (Domain.spawn sized));
+        let nested =
+          {
+            Codec.write =
+              (fun buf m ->
+                Codec.write_varint buf 7;
+                Codec.write_varint buf (Codec.encoded_size P.message_codec m);
+                Codec.write P.message_codec buf m);
+            read = (fun _ -> Error Codec.Truncated);
+          }
+        in
+        List.iter
+          (fun m ->
+            let inner = Codec.encode_to_string P.message_codec m in
+            let outer = Codec.encode_to_string nested m in
+            Alcotest.(check int) "nested write sizes the inner message"
+              (1 + Codec.varint_size (String.length inner) + String.length inner)
+              (String.length outer);
+            Alcotest.(check int) "encoded_size around a nested call"
+              (String.length outer) (Codec.encoded_size nested m))
+          msgs)
 end
 
 open Crdt_proto
@@ -566,6 +606,16 @@ let message_tests =
     Msg_conflict.test_into;
     Msg_conflict_bloom.test_into;
     Msg_sharded.test_into;
+    Msg_state.test_sized;
+    Msg_bp_rr.test_sized;
+    Msg_ack.test_sized;
+    Msg_delta_gmap.test_sized;
+    Msg_scuttlebutt.test_sized;
+    Msg_op.test_sized;
+    Msg_merkle.test_sized;
+    Msg_conflict.test_sized;
+    Msg_conflict_bloom.test_sized;
+    Msg_sharded.test_sized;
   ]
 
 (* -- corruption fuzz over real conflict-sync traffic --------------------- *)
