@@ -229,7 +229,7 @@ let cluster_cell ~nodes ~rounds protocol =
   {
     c_protocol = protocol;
     c_nodes = nodes;
-    c_heal_bytes = tail.Metrics.total_wire_bytes;
+    c_heal_bytes = tail.Metrics.totals.wire_bytes;
     c_heal_rounds = Array.length res.R.quiesce_rounds;
     c_converged = res.R.converged;
   }

@@ -192,7 +192,7 @@ let fig1 scale =
     let cum = ref 0 in
     Array.map
       (fun (r : Metrics.round) ->
-        cum := !cum + r.Metrics.payload;
+        cum := !cum + r.payload;
         !cum)
       rounds
   in
@@ -343,13 +343,10 @@ let fig9 scale =
     "synchronization metadata per node while varying the number of nodes \
      (GSet, mesh)";
   let selection =
-    {
-      Harness.all_protocols with
-      state_based = false;
-      delta_classic = false;
-      delta_bp = false;
-      delta_rr = false;
-    }
+    [
+      "delta-bp+rr"; "scuttlebutt"; "scuttlebutt-gc"; "op-based"; "merkle";
+      "conflict-sync";
+    ]
   in
   let rows =
     List.concat_map
@@ -470,7 +467,7 @@ let ablation scale =
   let ops ~round ~node state =
     Workload.gset_contended ~pool ~round ~node state
   in
-  let selection = Harness.delta_only in
+  let selection = [ "delta-classic"; "delta-bp+rr" ] in
   let optimal = H_gset.run ~selection ~topology:topo ~rounds:scale.rounds ~ops () in
   let naive = H_naive.run ~selection ~topology:topo ~rounds:scale.rounds ~ops () in
   check_converged optimal;
@@ -486,7 +483,7 @@ let ablation scale =
             [
               o.protocol;
               tag;
-              string_of_int o.summary.Metrics.total_payload;
+              string_of_int o.summary.Metrics.totals.payload;
             ])
           outcomes)
       [ ("optimal (Fig. 2b)", optimal); ("naive [13]", naive) ]

@@ -141,10 +141,10 @@ let run_cell (module P : P_int) ~name ~fault_name ~faults ~topology ~rounds =
       supported = true;
       converged = res.R.converged;
       ttc_after_heal = total_rounds - Fault.last_heal faults;
-      delivered = s.Metrics.total_messages;
-      dropped = s.Metrics.total_dropped;
-      held = s.Metrics.total_held;
-      partitioned = s.Metrics.total_partitioned;
+      delivered = s.Metrics.totals.messages;
+      dropped = s.Metrics.totals.dropped;
+      held = s.Metrics.totals.held;
+      partitioned = s.Metrics.totals.partitioned;
     }
 
 let cells ~nodes ~rounds =

@@ -89,8 +89,8 @@ module Sweep (C : Crdt_proto.Protocol_intf.CRDT) = struct
       rounds;
       seq_s;
       par_s;
-      msgs = s.Metrics.total_messages;
-      ops = s.Metrics.total_ops;
+      msgs = s.Metrics.totals.messages;
+      ops = s.Metrics.totals.ops_applied;
       converged = seq_res.R.converged;
     }
 

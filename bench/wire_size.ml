@@ -60,9 +60,9 @@ module Sweep (C : Crdt_proto.Protocol_intf.CRDT) = struct
       nodes = Topology.size topology;
       protocol = P.protocol_name;
       rounds;
-      wire_bytes = s.Metrics.total_wire_bytes;
+      wire_bytes = s.Metrics.totals.wire_bytes;
       estimate_bytes = Metrics.total_transmission_bytes s;
-      messages = s.Metrics.total_messages;
+      messages = s.Metrics.totals.messages;
       converged = res.R.converged;
     }
 

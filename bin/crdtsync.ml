@@ -16,8 +16,10 @@
      crdtsync topo --topology mesh --nodes 15
 
    Protocol and CRDT dispatch goes through Crdt_engine.Registry: micro
-   runs every registered protocol, serve accepts any registered
-   protocol × CRDT cell (minus the registry's declared exclusions).
+   runs the harness's default lineup (every registered protocol but the
+   ack-mode one, which joins under a fault plan), serve accepts any
+   registered protocol × CRDT cell (minus the registry's declared
+   exclusions).
 
    Fault flags build a Crdt_sim.Fault.plan; protocols whose declared
    capabilities do not cover the plan are skipped (micro) or rejected
@@ -44,6 +46,14 @@ let rounds_arg =
     value & opt int 100
     & info [ "rounds"; "r" ] ~docv:"R"
         ~doc:"Synchronization rounds (one update per node per round).")
+
+let crdt_arg =
+  Arg.(
+    value & opt string "gset"
+    & info [ "crdt"; "c" ] ~docv:"CRDT"
+        ~doc:
+          (Printf.sprintf "Replicated data type: %s."
+             (String.concat ", " Registry.crdt_names)))
 
 let domains_arg =
   Arg.(
@@ -214,30 +224,13 @@ let metrics_out_arg =
            $(b,totals) object uses the same keys in micro and serve, so \
            simulated and socket runs are directly comparable.")
 
-(* The shared totals schema: what the simulator accumulates per run and
-   the socket runtime accumulates per process. *)
-let totals_json ~messages ~payload ~metadata ~payload_bytes ~metadata_bytes
-    ~wire_bytes ~ops_applied ~sync_rounds ~digest_bytes =
+(* The shared totals schema, written from a run's tallies: the
+   simulator's summary totals (micro) or one process's counters (serve). *)
+let totals_json (c : Trace.counters) =
   Printf.sprintf
     {|{"messages":%d,"payload":%d,"metadata":%d,"payload_bytes":%d,"metadata_bytes":%d,"wire_bytes":%d,"ops_applied":%d,"sync_rounds":%d,"digest_bytes":%d}|}
-    messages payload metadata payload_bytes metadata_bytes wire_bytes
-    ops_applied sync_rounds digest_bytes
-
-let summary_totals_json (s : Metrics.summary) =
-  totals_json ~messages:s.Metrics.total_messages ~payload:s.Metrics.total_payload
-    ~metadata:s.Metrics.total_metadata
-    ~payload_bytes:s.Metrics.total_payload_bytes
-    ~metadata_bytes:s.Metrics.total_metadata_bytes
-    ~wire_bytes:s.Metrics.total_wire_bytes ~ops_applied:s.Metrics.total_ops
-    ~sync_rounds:s.Metrics.total_sync_rounds
-    ~digest_bytes:s.Metrics.total_digest_bytes
-
-let counters_totals_json (c : Trace.counters) =
-  totals_json ~messages:c.Trace.messages ~payload:c.Trace.payload
-    ~metadata:c.Trace.metadata ~payload_bytes:c.Trace.payload_bytes
-    ~metadata_bytes:c.Trace.metadata_bytes ~wire_bytes:c.Trace.wire_bytes
-    ~ops_applied:c.Trace.ops_applied ~sync_rounds:c.Trace.sync_rounds
-    ~digest_bytes:c.Trace.digest_bytes
+    c.messages c.payload c.metadata c.payload_bytes c.metadata_bytes
+    c.wire_bytes c.ops_applied c.sync_rounds c.digest_bytes
 
 let write_file path content =
   let oc = open_out path in
@@ -313,7 +306,7 @@ let micro_metrics_json ~crdt ~topology ~nodes ~rounds outcomes =
         Printf.sprintf
           {|    {"protocol":"%s","converged":%b,"totals":%s}|}
           o.protocol o.converged
-          (summary_totals_json o.full))
+          (totals_json o.full.totals))
       outcomes
   in
   Printf.sprintf
@@ -331,34 +324,22 @@ let run_micro crdt topology nodes rounds k domains faults bytes trace_out
     let module S = (val Registry.find_crdt crdt) in
     let module H = Harness.Make (S.C) in
     (* An explicit --protocol list names the lineup exactly (validated
-       against the registry); otherwise every registered protocol runs.
-       Registry exclusions (cells that are not meaningful) come off
-       next; then, under an active fault plan, the ack-mode δ-buffer
-       joins the lineup — the delta variant built for lossy channels —
-       and capability masking drops what the plan overwhelms. *)
-    let sel =
+       against the registry); otherwise the default lineup runs, and
+       under an active fault plan the ack-mode δ-buffer joins it — the
+       delta variant built for lossy channels.  Registry exclusions
+       (cells that are not meaningful) come off, and capability masking
+       drops what the plan overwhelms. *)
+    let lineup =
       match only_protocols with
-      | [] -> Harness.all_protocols
-      | names ->
-          List.fold_left
-            (fun sel name ->
-              ignore (Registry.find_protocol name);
-              Harness.enable sel name)
-            Harness.none_protocols names
+      | [] when Fault.active faults ->
+          "delta-bp+rr-ack" :: Harness.default_protocols
+      | [] -> Harness.default_protocols
+      | names -> names
     in
-    let sel =
-      List.fold_left
-        (fun sel name ->
-          if Option.is_some (S.excluded name) then Harness.disable sel name
-          else sel)
-        sel Registry.protocol_names
+    let selection, skipped =
+      H.mask_unsupported faults
+        (List.filter (fun name -> Option.is_none (S.excluded name)) lineup)
     in
-    let sel =
-      if only_protocols = [] then
-        { sel with Harness.delta_ack = Fault.active faults }
-      else sel
-    in
-    let selection, skipped = H.mask_unsupported faults sel in
     report_skipped skipped;
     let outcomes =
       with_trace_sink trace_out (fun sink ->
@@ -389,14 +370,6 @@ let run_micro crdt topology nodes rounds k domains faults bytes trace_out
     2
 
 let micro_cmd =
-  let crdt =
-    Arg.(
-      value & opt string "gset"
-      & info [ "crdt"; "c" ] ~docv:"CRDT"
-          ~doc:
-            (Printf.sprintf "Benchmark data type: %s."
-               (String.concat ", " Registry.crdt_names)))
-  in
   let k =
     Arg.(
       value & opt int 100
@@ -410,13 +383,14 @@ let micro_cmd =
           ~doc:
             (Printf.sprintf
                "Run only PROTO (repeatable); default is every registered \
-                protocol.  Known: %s."
+                protocol but delta-bp+rr-ack, which joins under a fault \
+                plan.  Known: %s."
                (String.concat ", " Registry.protocol_names)))
   in
   Cmd.v
     (Cmd.info "micro" ~doc:"Run a Table I micro-benchmark under every protocol")
     Term.(
-      const run_micro $ crdt $ topology_arg $ nodes_arg $ rounds_arg $ k
+      const run_micro $ crdt_arg $ topology_arg $ nodes_arg $ rounds_arg $ k
       $ domains_arg $ fault_term $ bytes_arg $ trace_out_arg
       $ metrics_out_arg $ only_protocols)
 
@@ -630,7 +604,7 @@ let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
              crdt protocol id res.R.ticks res.R.clean
              (Crdt_net.Runtime.stop_reason_name res.R.stop)
              res.R.writes res.R.wall_s res.R.tick_p99_us res.R.backend
-             recovery_json (counters_totals_json res.R.counters)));
+             recovery_json (totals_json res.R.counters)));
     if res.R.clean then 0 else 1
   with
   | Invalid_argument msg | Failure msg | Crdt_store.Store.Corrupt msg ->
@@ -657,14 +631,6 @@ let serve_cmd =
       value & opt_all string []
       & info [ "peer" ] ~docv:"ID=ADDR"
           ~doc:"A peer replica's id and listen address; repeatable.")
-  in
-  let crdt =
-    Arg.(
-      value & opt string "gset"
-      & info [ "crdt"; "c" ] ~docv:"CRDT"
-          ~doc:
-            (Printf.sprintf "Replicated data type: %s."
-               (String.concat ", " Registry.crdt_names)))
   in
   let protocol =
     Arg.(
@@ -750,7 +716,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run one live replica over real sockets (lib/net runtime)")
     Term.(
-      const run_serve $ id $ listen $ peers $ crdt $ protocol $ ops $ tick_ms
+      const run_serve $ id $ listen $ peers $ crdt_arg $ protocol $ ops $ tick_ms
       $ quiet_ticks $ max_ticks $ lockstep $ data_dir $ checkpoint_every
       $ fsync $ state_out $ metrics_out_arg $ trace_out_arg $ verbose)
 

@@ -46,7 +46,7 @@ module Probe (Cfg : Crdt_proto.Delta_sync.CONFIG) = struct
     Printf.printf "%-14s transmitted %4d bytes of payload, converged in %d \
                    extra rounds\n"
       name
-      s.Crdt_sim.Metrics.total_payload_bytes
+      s.Crdt_sim.Metrics.totals.payload_bytes
       (Array.length res.R.quiesce_rounds);
     res.R.finals.(3)
 end

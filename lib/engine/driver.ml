@@ -186,7 +186,5 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     t.store_dirty <- s.s_store_dirty;
     t.ops_applied <- s.s_ops_applied
 
-  let memory_weight t = P.memory_weight t.node
-  let memory_bytes t = P.memory_bytes t.node
-  let metadata_memory_bytes t = P.metadata_memory_bytes t.node
+  let memory t = P.memory t.node
 end

@@ -120,7 +120,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) : sig
       Trace events already reported are {e not} retracted — exploration
       sinks must expect replayed prefixes or use {!Trace.null}. *)
 
-  val memory_weight : t -> int
-  val memory_bytes : t -> int
-  val metadata_memory_bytes : t -> int
+  val memory : t -> Crdt_proto.Protocol_intf.memory
+  (** [P.memory] of the replica's node. *)
 end

@@ -34,7 +34,7 @@ type proto = (module PROTO_MAKER)
 val protocols : proto list
 (** Every registered protocol, in the harness's stable reporting order:
     state-based, delta classic/BP/RR/BP+RR/BP+RR-ack, scuttlebutt ± GC,
-    op-based, merkle. *)
+    op-based, merkle, conflict-sync. *)
 
 val protocol_names : string list
 

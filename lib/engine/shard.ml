@@ -280,48 +280,25 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
   let snapshot_memory t =
     Pool.run t.pool (fun s ->
         let c = t.counters.(s) in
-        let w = ref 0 and b = ref 0 and mb = ref 0 in
+        c.memory_weight <- 0;
+        c.memory_bytes <- 0;
+        c.metadata_memory_bytes <- 0;
         for i = lo t s to hi t s - 1 do
-          let drv = t.drivers.(i) in
-          w := !w + D.memory_weight drv;
-          b := !b + D.memory_bytes drv;
-          mb := !mb + D.metadata_memory_bytes drv
-        done;
-        c.memory_weight <- !w;
-        c.memory_bytes <- !b;
-        c.metadata_memory_bytes <- !mb)
+          let m = D.memory t.drivers.(i) in
+          c.memory_weight <- c.memory_weight + m.weight;
+          c.memory_bytes <- c.memory_bytes + m.bytes;
+          c.metadata_memory_bytes <- c.metadata_memory_bytes + m.metadata_bytes
+        done)
 
   let reset_counters t = Array.iter Trace.reset_counters t.counters
 
-  (** Fold the per-shard counters, in shard order, into one fresh
+  (** Sum the per-shard counters, in shard order, into one fresh
       total.  [sync_rounds] is capped at 1: per-shard counters are
       reset every round, so each contributes 0 or 1 and the total is
       their OR — a round either synchronized or did not. *)
   let total_counters t =
-    let acc = Trace.make_counters () in
-    Array.iter
-      (fun (c : Trace.counters) ->
-        acc.sent <- acc.sent + c.sent;
-        acc.delivered <- acc.delivered + c.delivered;
-        acc.messages <- acc.messages + c.messages;
-        acc.payload <- acc.payload + c.payload;
-        acc.metadata <- acc.metadata + c.metadata;
-        acc.payload_bytes <- acc.payload_bytes + c.payload_bytes;
-        acc.metadata_bytes <- acc.metadata_bytes + c.metadata_bytes;
-        acc.wire_bytes <- acc.wire_bytes + c.wire_bytes;
-        acc.ops_applied <- acc.ops_applied + c.ops_applied;
-        acc.dropped <- acc.dropped + c.dropped;
-        acc.held <- acc.held + c.held;
-        acc.partitioned <- acc.partitioned + c.partitioned;
-        acc.memory_weight <- acc.memory_weight + c.memory_weight;
-        acc.memory_bytes <- acc.memory_bytes + c.memory_bytes;
-        acc.metadata_memory_bytes <-
-          acc.metadata_memory_bytes + c.metadata_memory_bytes;
-        acc.writes <- acc.writes + c.writes;
-        acc.sync_rounds <- min 1 (acc.sync_rounds + c.sync_rounds);
-        acc.digest_bytes <- acc.digest_bytes + c.digest_bytes;
-        acc.last_sync_round <- max acc.last_sync_round c.last_sync_round)
-      t.counters;
+    let acc = Trace.sum t.counters in
+    acc.sync_rounds <- min 1 acc.sync_rounds;
     acc
 
   let state t i = D.state t.drivers.(i)

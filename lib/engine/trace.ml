@@ -1,38 +1,7 @@
 (* Structured trace layer.  See trace.mli for the contract; the one
    design rule here is that the hot path (a sink call per message) must
    not allocate, which is why a sink is a record of closures over plain
-   labeled ints rather than an [event -> unit] consumer. *)
-
-type event =
-  | Meta of { note : string }
-  | Tick of { node : int; round : int }
-  | Send of {
-      src : int;
-      dest : int;
-      round : int;
-      weight : int;
-      metadata : int;
-      payload_bytes : int;
-      metadata_bytes : int;
-      wire_bytes : int;
-    }
-  | Recv of {
-      node : int;
-      src : int;
-      round : int;
-      weight : int;
-      metadata : int;
-      payload_bytes : int;
-      metadata_bytes : int;
-      wire_bytes : int;
-    }
-  | Deliver of { node : int; src : int; round : int }
-  | Drop of { node : int; src : int; round : int }
-  | Hold of { node : int; src : int; round : int }
-  | Cut of { node : int; src : int; round : int }
-  | Crash of { node : int; round : int }
-  | Recover of { node : int; round : int }
-  | Done of { node : int; round : int }
+   labeled ints. *)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
@@ -48,41 +17,6 @@ let json_escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
-
-let event_to_json = function
-  | Meta { note } -> Printf.sprintf {|{"ev":"meta","note":"%s"}|} (json_escape note)
-  | Tick { node; round } ->
-      Printf.sprintf {|{"ev":"tick","node":%d,"round":%d}|} node round
-  | Send
-      { src; dest; round; weight; metadata; payload_bytes; metadata_bytes;
-        wire_bytes } ->
-      Printf.sprintf
-        {|{"ev":"send","src":%d,"dest":%d,"round":%d,"weight":%d,"metadata":%d,"payload_bytes":%d,"metadata_bytes":%d,"wire_bytes":%d}|}
-        src dest round weight metadata payload_bytes metadata_bytes wire_bytes
-  | Recv
-      { node; src; round; weight; metadata; payload_bytes; metadata_bytes;
-        wire_bytes } ->
-      Printf.sprintf
-        {|{"ev":"recv","node":%d,"src":%d,"round":%d,"weight":%d,"metadata":%d,"payload_bytes":%d,"metadata_bytes":%d,"wire_bytes":%d}|}
-        node src round weight metadata payload_bytes metadata_bytes wire_bytes
-  | Deliver { node; src; round } ->
-      Printf.sprintf {|{"ev":"deliver","node":%d,"src":%d,"round":%d}|} node src
-        round
-  | Drop { node; src; round } ->
-      Printf.sprintf {|{"ev":"drop","node":%d,"src":%d,"round":%d}|} node src
-        round
-  | Hold { node; src; round } ->
-      Printf.sprintf {|{"ev":"hold","node":%d,"src":%d,"round":%d}|} node src
-        round
-  | Cut { node; src; round } ->
-      Printf.sprintf {|{"ev":"cut","node":%d,"src":%d,"round":%d}|} node src
-        round
-  | Crash { node; round } ->
-      Printf.sprintf {|{"ev":"crash","node":%d,"round":%d}|} node round
-  | Recover { node; round } ->
-      Printf.sprintf {|{"ev":"recover","node":%d,"round":%d}|} node round
-  | Done { node; round } ->
-      Printf.sprintf {|{"ev":"done","node":%d,"round":%d}|} node round
 
 type sink = {
   detailed : bool;
@@ -153,7 +87,6 @@ type counters = {
   mutable memory_weight : int;
   mutable memory_bytes : int;
   mutable metadata_memory_bytes : int;
-  mutable writes : int;
   mutable sync_rounds : int;
   mutable digest_bytes : int;
   mutable last_sync_round : int;
@@ -177,7 +110,6 @@ let make_counters () =
     memory_weight = 0;
     memory_bytes = 0;
     metadata_memory_bytes = 0;
-    writes = 0;
     sync_rounds = 0;
     digest_bytes = 0;
     last_sync_round = -1;
@@ -199,10 +131,35 @@ let reset_counters c =
   c.memory_weight <- 0;
   c.memory_bytes <- 0;
   c.metadata_memory_bytes <- 0;
-  c.writes <- 0;
   c.sync_rounds <- 0;
   c.digest_bytes <- 0;
   c.last_sync_round <- -1
+
+let sum cs =
+  let acc = make_counters () in
+  Array.iter
+    (fun c ->
+      acc.sent <- acc.sent + c.sent;
+      acc.delivered <- acc.delivered + c.delivered;
+      acc.messages <- acc.messages + c.messages;
+      acc.payload <- acc.payload + c.payload;
+      acc.metadata <- acc.metadata + c.metadata;
+      acc.payload_bytes <- acc.payload_bytes + c.payload_bytes;
+      acc.metadata_bytes <- acc.metadata_bytes + c.metadata_bytes;
+      acc.wire_bytes <- acc.wire_bytes + c.wire_bytes;
+      acc.ops_applied <- acc.ops_applied + c.ops_applied;
+      acc.dropped <- acc.dropped + c.dropped;
+      acc.held <- acc.held + c.held;
+      acc.partitioned <- acc.partitioned + c.partitioned;
+      acc.memory_weight <- acc.memory_weight + c.memory_weight;
+      acc.memory_bytes <- acc.memory_bytes + c.memory_bytes;
+      acc.metadata_memory_bytes <-
+        acc.metadata_memory_bytes + c.metadata_memory_bytes;
+      acc.sync_rounds <- acc.sync_rounds + c.sync_rounds;
+      acc.digest_bytes <- acc.digest_bytes + c.digest_bytes;
+      acc.last_sync_round <- max acc.last_sync_round c.last_sync_round)
+    cs;
+  acc
 
 let counting c =
   {
@@ -281,54 +238,44 @@ let tee a b =
       (fun ~node ~round -> a.finish ~node ~round; b.finish ~node ~round);
   }
 
-let event_sink ?(detailed = true) f =
+(* Each line is written straight from the sink's arguments. *)
+let jsonl oc =
+  let line fmt = Printf.kfprintf (fun oc -> output_char oc '\n') oc fmt in
+  let at ev ~node ~round =
+    line {|{"ev":"%s","node":%d,"round":%d}|} ev node round
+  in
+  let link ev ~node ~src ~round =
+    line {|{"ev":"%s","node":%d,"src":%d,"round":%d}|} ev node src round
+  in
   {
-    detailed;
-    meta = (fun note -> f (Meta { note }));
-    tick = (fun ~node ~round -> f (Tick { node; round }));
+    detailed = true;
+    meta =
+      (fun note ->
+        line {|{"ev":"meta","note":"%s"}|} (json_escape note);
+        flush oc);
+    tick = at "tick";
     send =
       (fun ~src ~dest ~round ~weight ~metadata ~payload_bytes ~metadata_bytes
            ~wire_bytes ->
-        f
-          (Send
-             {
-               src;
-               dest;
-               round;
-               weight;
-               metadata;
-               payload_bytes;
-               metadata_bytes;
-               wire_bytes;
-             }));
+        line
+          {|{"ev":"send","src":%d,"dest":%d,"round":%d,"weight":%d,"metadata":%d,"payload_bytes":%d,"metadata_bytes":%d,"wire_bytes":%d}|}
+          src dest round weight metadata payload_bytes metadata_bytes
+          wire_bytes);
     recv =
       (fun ~node ~src ~round ~weight ~metadata ~payload_bytes ~metadata_bytes
            ~wire_bytes ->
-        f
-          (Recv
-             {
-               node;
-               src;
-               round;
-               weight;
-               metadata;
-               payload_bytes;
-               metadata_bytes;
-               wire_bytes;
-             }));
-    deliver = (fun ~node ~src ~round -> f (Deliver { node; src; round }));
-    drop = (fun ~node ~src ~round -> f (Drop { node; src; round }));
-    hold = (fun ~node ~src ~round -> f (Hold { node; src; round }));
-    cut = (fun ~node ~src ~round -> f (Cut { node; src; round }));
-    crash = (fun ~node ~round -> f (Crash { node; round }));
-    recover = (fun ~node ~round -> f (Recover { node; round }));
-    finish = (fun ~node ~round -> f (Done { node; round }));
+        line
+          {|{"ev":"recv","node":%d,"src":%d,"round":%d,"weight":%d,"metadata":%d,"payload_bytes":%d,"metadata_bytes":%d,"wire_bytes":%d}|}
+          node src round weight metadata payload_bytes metadata_bytes
+          wire_bytes);
+    deliver = link "deliver";
+    drop = link "drop";
+    hold = link "hold";
+    cut = link "cut";
+    crash = at "crash";
+    recover = at "recover";
+    finish =
+      (fun ~node ~round ->
+        at "done" ~node ~round;
+        flush oc);
   }
-
-let jsonl oc =
-  let emit ev =
-    output_string oc (event_to_json ev);
-    output_char oc '\n';
-    match ev with Meta _ | Done _ -> flush oc | _ -> ()
-  in
-  event_sink ~detailed:true emit

@@ -181,9 +181,8 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     counters : Trace.counters;
         (** the run's tallies, same accounting as the simulator's
             per-round records: received protocol messages with their
-            payload/metadata/wire costs, plus final memory sizes and
-            the write-syscall count. *)
-    ops_applied : int;
+            payload/metadata/wire costs, plus the operations applied and
+            the final memory sizes. *)
     writes : int;  (** successful [write(2)] calls over the whole run. *)
     wall_s : float;  (** wall-clock duration of the serve loop. *)
     tick_p99_us : float;
@@ -865,20 +864,17 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
           | Error m -> log st "final drain to peer %d failed (%s)" j m
         end)
       st.out;
-    let writes =
-      Hashtbl.fold (fun _ c acc -> acc + Conn.writes c) st.out 0
-    in
+    let memory = D.memory drv in
     counters.ops_applied <- D.ops_applied drv;
-    counters.memory_weight <- D.memory_weight drv;
-    counters.memory_bytes <- D.memory_bytes drv;
-    counters.metadata_memory_bytes <- D.metadata_memory_bytes drv;
-    counters.writes <- writes;
+    counters.memory_weight <- memory.weight;
+    counters.memory_bytes <- memory.bytes;
+    counters.metadata_memory_bytes <- memory.metadata_bytes;
     {
       state = D.state drv;
       ticks;
       counters;
-      ops_applied = D.ops_applied drv;
-      writes;
+      writes =
+        Hashtbl.fold (fun _ c acc -> acc + Conn.writes c) st.out 0;
       wall_s;
       tick_p99_us = percentile st.tick_times 99 *. 1e6;
       backend = Evloop.backend_name loop;

@@ -642,20 +642,23 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     Crdt_wire.Frame.framed_size
       ~payload_len:(Crdt_wire.Codec.encoded_size message_codec m)
 
-  let memory_weight n = C.weight n.x + Buf.weight n.buf
-  let memory_bytes n = C.byte_size n.x + Buf.byte_size n.buf
-
-  (* Streaks, traffic clocks and live session tables (snapshot tables
-     count 8 B per key entry, difference tables 16 B per cell). *)
-  let metadata_memory_bytes n =
+  (* Metadata: streaks, traffic clocks and live session tables
+     (snapshot tables count 8 B per key entry, difference tables 16 B
+     per cell). *)
+  let memory n =
     let sessions =
       Imap.fold
         (fun _ s acc -> acc + (8 * Hashtbl.length s.i_table) + (16 * Array.length s.i_diff))
         n.init_s 0
       + Imap.fold (fun _ s acc -> acc + (8 * Hashtbl.length s.r_table)) n.resp_s 0
     in
-    8
-    * (Imap.cardinal n.streak + Imap.cardinal n.last_traffic
-      + Iset.cardinal n.escalated)
-    + sessions
+    {
+      Protocol_intf.weight = C.weight n.x + Buf.weight n.buf;
+      bytes = C.byte_size n.x + Buf.byte_size n.buf;
+      metadata_bytes =
+        8
+        * (Imap.cardinal n.streak + Imap.cardinal n.last_traffic
+          + Iset.cardinal n.escalated)
+        + sessions;
+    }
 end

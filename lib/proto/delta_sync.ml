@@ -346,11 +346,13 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       List.fold_left (fun acc e -> acc + f e.delta) 0 n.entries
     else buf_size n.buf
 
-  let memory_weight n = C.weight n.x + buffer_size C.weight Buf.weight n
-  let memory_bytes n = C.byte_size n.x + buffer_size C.byte_size Buf.byte_size n
-
   (* Delta-based metadata: one sequence number per neighbor (Fig. 9). *)
-  let metadata_memory_bytes n = 8 * List.length n.neighbors
+  let memory n =
+    {
+      Protocol_intf.weight = C.weight n.x + buffer_size C.weight Buf.weight n;
+      bytes = C.byte_size n.x + buffer_size C.byte_size Buf.byte_size n;
+      metadata_bytes = 8 * List.length n.neighbors;
+    }
 end
 
 (** Pre-packaged configurations, one per curve in Figs. 7–8. *)

@@ -224,15 +224,19 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     Crdt_wire.Frame.framed_size
       ~payload_len:(Crdt_wire.Codec.encoded_size message_codec m)
 
-  let memory_weight n = C.weight n.x
-  let memory_bytes n = C.byte_size n.x
-
   (* The digest tree is recomputed on demand; resident metadata is the
      cached tree of the last tick: fanout^0 + ... + fanout^depth
      hashes. *)
-  let metadata_memory_bytes _ =
+  let tree_bytes =
     let rec total d acc width =
       if d > Cfg.depth then acc else total (d + 1) (acc + width) (width * fanout)
     in
     8 * total 0 0 1
+
+  let memory n =
+    {
+      Protocol_intf.weight = C.weight n.x;
+      bytes = C.byte_size n.x;
+      metadata_bytes = tree_bytes;
+    }
 end

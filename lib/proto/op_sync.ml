@@ -220,20 +220,26 @@ module Make (C : Protocol_intf.CRDT) :
   let buffered_ops n =
     Opmap.fold (fun _ e acc -> acc + C.op_weight e.msg.operation) n.tbuf 0
 
-  let memory_weight n =
-    C.weight n.x + buffered_ops n
-    + Opmap.fold (fun _ e acc -> acc + Vclock.cardinal e.msg.tag) n.tbuf 0
-    + Opmap.fold (fun _ t acc -> acc + Vclock.cardinal t.tag + 1) n.pending 0
-    + Vclock.cardinal n.clock
-
-  let metadata_memory_bytes n =
-    Vclock.byte_size n.clock
-    + Opmap.fold (fun _ e acc -> acc + Vclock.byte_size e.msg.tag) n.tbuf 0
-    + Opmap.fold (fun _ t acc -> acc + Vclock.byte_size t.tag) n.pending 0
-
-  let memory_bytes n =
-    C.byte_size n.x
-    + Opmap.fold
-        (fun _ e acc -> acc + C.op_byte_size e.msg.operation) n.tbuf 0
-    + metadata_memory_bytes n
+  let memory n =
+    let metadata_bytes =
+      Vclock.byte_size n.clock
+      + Opmap.fold (fun _ e acc -> acc + Vclock.byte_size e.msg.tag) n.tbuf 0
+      + Opmap.fold (fun _ t acc -> acc + Vclock.byte_size t.tag) n.pending 0
+    in
+    {
+      Protocol_intf.weight =
+        C.weight n.x + buffered_ops n
+        + Opmap.fold (fun _ e acc -> acc + Vclock.cardinal e.msg.tag) n.tbuf 0
+        + Opmap.fold
+            (fun _ t acc -> acc + Vclock.cardinal t.tag + 1)
+            n.pending 0
+        + Vclock.cardinal n.clock;
+      bytes =
+        C.byte_size n.x
+        + Opmap.fold
+            (fun _ e acc -> acc + C.op_byte_size e.msg.operation)
+            n.tbuf 0
+        + metadata_bytes;
+      metadata_bytes;
+    }
 end

@@ -50,6 +50,16 @@ type capabilities = {
           different deltas under one version pair. *)
 }
 
+(** What a node keeps resident, measured in one walk ({!PROTOCOL.memory}). *)
+type memory = {
+  weight : int;
+      (** elements: CRDT state plus buffered deltas/ops plus stored
+          metadata entries (the metric of Fig. 10). *)
+  bytes : int;
+  metadata_bytes : int;
+      (** bytes of synchronization metadata (Fig. 9). *)
+}
+
 module type PROTOCOL = sig
   type crdt
   type op
@@ -124,14 +134,8 @@ module type PROTOCOL = sig
       (header + varint length prefix + encoded payload) — the exact
       counterpart of the [payload_bytes + metadata_bytes] estimate. *)
 
-  val memory_weight : node -> int
-  (** Elements resident at the node: CRDT state plus buffered deltas/ops
-      plus stored metadata entries (the metric of Fig. 10). *)
-
-  val memory_bytes : node -> int
-
-  val metadata_memory_bytes : node -> int
-  (** Bytes of synchronization metadata kept at the node (Fig. 9). *)
+  val memory : node -> memory
+  (** What the node keeps resident, all three figures at once. *)
 end
 
 (** Convenience alias for what protocol functors consume. *)

@@ -289,22 +289,27 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       (fun _ m acc -> Im.fold (fun _ d acc -> C.weight d + acc) m acc)
       n.store 0
 
-  let memory_weight n =
-    C.weight n.x + stored_deltas n + Vclock.cardinal n.summary
-    + Im.fold (fun _ v acc -> acc + Vclock.cardinal v) n.knowledge 0
-
-  let metadata_memory_bytes n =
-    Vclock.byte_size n.summary
-    + Im.fold
-        (fun _ v acc ->
-          acc + Crdt_core.Replica_id.id_bytes + Vclock.byte_size v)
-        n.knowledge 0
-
-  let memory_bytes n =
-    C.byte_size n.x
-    + Im.fold
-        (fun _ m acc ->
-          Im.fold (fun _ d acc -> acc + C.byte_size d + Vclock.entry_bytes) m acc)
-        n.store 0
-    + metadata_memory_bytes n
+  let memory n =
+    let metadata_bytes =
+      Vclock.byte_size n.summary
+      + Im.fold
+          (fun _ v acc ->
+            acc + Crdt_core.Replica_id.id_bytes + Vclock.byte_size v)
+          n.knowledge 0
+    in
+    {
+      Protocol_intf.weight =
+        C.weight n.x + stored_deltas n + Vclock.cardinal n.summary
+        + Im.fold (fun _ v acc -> acc + Vclock.cardinal v) n.knowledge 0;
+      bytes =
+        C.byte_size n.x
+        + Im.fold
+            (fun _ m acc ->
+              Im.fold
+                (fun _ d acc -> acc + C.byte_size d + Vclock.entry_bytes)
+                m acc)
+            n.store 0
+        + metadata_bytes;
+      metadata_bytes;
+    }
 end

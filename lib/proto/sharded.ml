@@ -252,14 +252,21 @@ end = struct
     Crdt_wire.Frame.framed_size
       ~payload_len:(Crdt_wire.Codec.encoded_size message_codec batch)
 
-  let memory_weight n =
-    Km.fold (fun _ o acc -> acc + P.memory_weight o) n.objects 0
-
-  let memory_bytes n =
-    Km.fold (fun _ o acc -> acc + P.memory_bytes o) n.objects 0
-
-  let metadata_memory_bytes n =
-    Km.fold (fun _ o acc -> acc + P.metadata_memory_bytes o) n.objects 0
+  (* One walk over the objects for all three figures. *)
+  let memory n =
+    let weight = ref 0 and bytes = ref 0 and metadata_bytes = ref 0 in
+    Km.iter
+      (fun _ o ->
+        let m = P.memory o in
+        weight := !weight + m.weight;
+        bytes := !bytes + m.bytes;
+        metadata_bytes := !metadata_bytes + m.metadata_bytes)
+      n.objects;
+    {
+      Protocol_intf.weight = !weight;
+      bytes = !bytes;
+      metadata_bytes = !metadata_bytes;
+    }
 
   let equal_states (a : crdt) (b : crdt) =
     let to_map l =

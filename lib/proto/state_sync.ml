@@ -54,7 +54,11 @@ module Make (C : Protocol_intf.CRDT) :
   let message_wire_bytes d =
     Crdt_wire.Frame.framed_size
       ~payload_len:(Crdt_wire.Codec.encoded_size C.codec d)
-  let memory_weight n = C.weight n.x
-  let memory_bytes n = C.byte_size n.x
-  let metadata_memory_bytes _ = 0
+
+  let memory n =
+    {
+      Protocol_intf.weight = C.weight n.x;
+      bytes = C.byte_size n.x;
+      metadata_bytes = 0;
+    }
 end

@@ -19,143 +19,35 @@ type outcome = {
   converged : bool;
 }
 
-(** Which protocols to include in a run. *)
-type selection = {
-  state_based : bool;
-  delta_classic : bool;
-  delta_bp : bool;
-  delta_rr : bool;
-  delta_bp_rr : bool;
-  delta_ack : bool;
-      (** BP+RR with the ack-based δ-buffer (Section IV-C): the only
-          delta variant that tolerates message loss and partitions, so
-          fault experiments enable it; excluded from the paper's default
-          comparison set. *)
-  scuttlebutt : bool;
-  scuttlebutt_gc : bool;
-  op_based : bool;
-  merkle : bool;
-      (** hash-tree anti-entropy, an extension baseline beyond the
-          paper's protocol set (related work [32, 33]). *)
-  conflict_sync : bool;
-      (** digest/IBLT divergence reconciliation (ConflictSync), another
-          extension baseline. *)
-}
+(** The default lineup: every registered protocol but the ack-based
+    δ-buffer (BP+RR that tolerates loss, Section IV-C), which is outside
+    the paper's comparison set; fault experiments name it. *)
+let default_protocols =
+  List.filter (fun name -> name <> "delta-bp+rr-ack") Registry.protocol_names
 
-let all_protocols =
-  {
-    state_based = true;
-    delta_classic = true;
-    delta_bp = true;
-    delta_rr = true;
-    delta_bp_rr = true;
-    delta_ack = false;
-    scuttlebutt = true;
-    scuttlebutt_gc = true;
-    op_based = true;
-    merkle = true;
-    conflict_sync = true;
-  }
-
-let delta_only =
-  {
-    state_based = false;
-    delta_classic = true;
-    delta_bp = false;
-    delta_rr = false;
-    delta_bp_rr = true;
-    delta_ack = false;
-    scuttlebutt = false;
-    scuttlebutt_gc = false;
-    op_based = false;
-    merkle = false;
-    conflict_sync = false;
-  }
-
-(* Registry name ↔ selection field.  The registry order is the stable
-   reporting order, so [run] only needs the getters/setters here. *)
-let enabled sel = function
-  | "state-based" -> sel.state_based
-  | "delta-classic" -> sel.delta_classic
-  | "delta-bp" -> sel.delta_bp
-  | "delta-rr" -> sel.delta_rr
-  | "delta-bp+rr" -> sel.delta_bp_rr
-  | "delta-bp+rr-ack" -> sel.delta_ack
-  | "scuttlebutt" -> sel.scuttlebutt
-  | "scuttlebutt-gc" -> sel.scuttlebutt_gc
-  | "op-based" -> sel.op_based
-  | "merkle" -> sel.merkle
-  | "conflict-sync" -> sel.conflict_sync
-  | name -> invalid_arg ("Harness: protocol not mapped to selection: " ^ name)
-
-let disable sel = function
-  | "state-based" -> { sel with state_based = false }
-  | "delta-classic" -> { sel with delta_classic = false }
-  | "delta-bp" -> { sel with delta_bp = false }
-  | "delta-rr" -> { sel with delta_rr = false }
-  | "delta-bp+rr" -> { sel with delta_bp_rr = false }
-  | "delta-bp+rr-ack" -> { sel with delta_ack = false }
-  | "scuttlebutt" -> { sel with scuttlebutt = false }
-  | "scuttlebutt-gc" -> { sel with scuttlebutt_gc = false }
-  | "op-based" -> { sel with op_based = false }
-  | "merkle" -> { sel with merkle = false }
-  | "conflict-sync" -> { sel with conflict_sync = false }
-  | name -> invalid_arg ("Harness: protocol not mapped to selection: " ^ name)
-
-let enable sel = function
-  | "state-based" -> { sel with state_based = true }
-  | "delta-classic" -> { sel with delta_classic = true }
-  | "delta-bp" -> { sel with delta_bp = true }
-  | "delta-rr" -> { sel with delta_rr = true }
-  | "delta-bp+rr" -> { sel with delta_bp_rr = true }
-  | "delta-bp+rr-ack" -> { sel with delta_ack = true }
-  | "scuttlebutt" -> { sel with scuttlebutt = true }
-  | "scuttlebutt-gc" -> { sel with scuttlebutt_gc = true }
-  | "op-based" -> { sel with op_based = true }
-  | "merkle" -> { sel with merkle = true }
-  | "conflict-sync" -> { sel with conflict_sync = true }
-  | name -> invalid_arg ("Harness: protocol not mapped to selection: " ^ name)
-
-(* Everything off: the base for an explicit --protocol list. *)
-let none_protocols =
-  {
-    state_based = false;
-    delta_classic = false;
-    delta_bp = false;
-    delta_rr = false;
-    delta_bp_rr = false;
-    delta_ack = false;
-    scuttlebutt = false;
-    scuttlebutt_gc = false;
-    op_based = false;
-    merkle = false;
-    conflict_sync = false;
-  }
+(* The registry entries a selection names, in the registry's stable
+   order.  @raise Invalid_argument on a name the registry lacks. *)
+let selected selection =
+  List.iter (fun name -> ignore (Registry.find_protocol name)) selection;
+  List.filter
+    (fun maker -> List.mem (Registry.protocol_name maker) selection)
+    Registry.protocols
 
 module Make (C : Protocol_intf.CRDT) = struct
   type ops = round:int -> node:int -> C.t -> C.op list
 
-  (** Restrict [sel] to the protocols whose declared capabilities cover
-      the fault [plan]; also returns the names that were excluded, so
-      callers can report what was masked instead of silently shrinking
-      the comparison.  With [Fault.none] this is the identity. *)
-  let mask_unsupported (plan : Fault.plan) (sel : selection) =
-    let excluded = ref [] in
-    let sel =
-      List.fold_left
-        (fun sel maker ->
-          let name = Registry.protocol_name maker in
-          if
-            enabled sel name
-            && not (Fault.supported ~caps:(Registry.capabilities maker) plan)
-          then begin
-            excluded := name :: !excluded;
-            disable sel name
-          end
-          else sel)
-        sel Registry.protocols
+  (** Split a selection into the protocols whose declared capabilities
+      cover the fault [plan] and the names that were excluded, so callers
+      can report what was masked instead of silently shrinking the
+      comparison; both in registry order.  With [Fault.none] nothing is
+      excluded.  @raise Invalid_argument on an unknown name. *)
+  let mask_unsupported (plan : Fault.plan) selection =
+    let kept, masked =
+      List.partition
+        (fun maker -> Fault.supported ~caps:(Registry.capabilities maker) plan)
+        (selected selection)
     in
-    (sel, List.rev !excluded)
+    (List.map Registry.protocol_name kept, List.map Registry.protocol_name masked)
 
   let run_one (maker : Registry.proto) ?faults ?quiesce_limit ?(domains = 1)
       ?bytes ?sink ~topology ~rounds ~(ops : ops) () =
@@ -179,25 +71,23 @@ module Make (C : Protocol_intf.CRDT) = struct
       converged = res.R.converged;
     }
 
-  (** Run the selected protocols over the same topology and operation
-      stream; results come back in the registry's stable order.
-      [domains] selects the engine's pool width (results are identical
-      at any setting).  A [faults] plan applies identically to every
+  (** Run the protocols [selection] names (default {!default_protocols})
+      over the same topology and operation stream; results come back in
+      the registry's stable order, and an unknown name raises
+      [Invalid_argument].  [domains] selects the engine's pool width
+      (results are identical at any setting).  A [faults] plan applies identically to every
       selected protocol; protocols whose capabilities do not cover it
       make {!Runner.Make.run} raise — use {!mask_unsupported} first to
       drop them instead.  [sink] attaches a trace sink to every run
       (each prefixed with a [protocol=<name>] meta event); it requires
       [domains = 1]. *)
-  let run ?(selection = all_protocols) ?faults ?quiesce_limit ?(domains = 1)
-      ?bytes ?sink ~topology ~rounds ~(ops : ops) () =
-    List.filter_map
+  let run ?(selection = default_protocols) ?faults ?quiesce_limit
+      ?(domains = 1) ?bytes ?sink ~topology ~rounds ~(ops : ops) () =
+    List.map
       (fun maker ->
-        if enabled selection (Registry.protocol_name maker) then
-          Some
-            (run_one maker ?faults ?quiesce_limit ~domains ?bytes ?sink
-               ~topology ~rounds ~ops ())
-        else None)
-      Registry.protocols
+        run_one maker ?faults ?quiesce_limit ~domains ?bytes ?sink ~topology
+          ~rounds ~ops ())
+      (selected selection)
 
   (** Find the ratio baseline in a result list: BP+RR when present,
       otherwise its ack-mode variant (fault runs may mask plain BP+RR),

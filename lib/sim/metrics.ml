@@ -13,132 +13,59 @@ type accounting = Estimate | Exact
 
 let accounting_name = function Estimate -> "estimate" | Exact -> "exact"
 
-type round = {
-  messages : int;  (** messages delivered this round. *)
-  payload : int;  (** lattice elements shipped. *)
-  metadata : int;  (** metadata units shipped. *)
-  payload_bytes : int;
-  metadata_bytes : int;
-  wire_bytes : int;
-      (** exact framed wire bytes of the messages delivered this round;
-          0 under [Estimate] accounting. *)
-  memory_weight : int;  (** elements resident across all nodes after the round. *)
-  memory_bytes : int;
-  metadata_memory_bytes : int;
-  ops_applied : int;  (** application operations applied this round. *)
-  dropped : int;
-      (** messages lost this round: probabilistic drops plus messages
-          addressed to a crashed node.  Dropped messages contribute
-          nothing to [messages] or the payload/metadata tallies. *)
-  held : int;
-      (** messages captured by a per-link delay this round; each is
-          counted in [messages] later, at its delivery round. *)
-  partitioned : int;  (** messages cut by an active partition this round. *)
-  sync_rounds : int;
-      (** 1 when at least one pure control message (zero payload weight,
-          non-zero metadata) was delivered this round — digest exchanges
-          and reconciliation-session traffic; 0 otherwise. *)
-  digest_bytes : int;
-      (** wire bytes of that control traffic this round (estimate bytes
-          under [Estimate] accounting). *)
-}
-
-let empty_round =
-  {
-    messages = 0;
-    payload = 0;
-    metadata = 0;
-    payload_bytes = 0;
-    metadata_bytes = 0;
-    wire_bytes = 0;
-    memory_weight = 0;
-    memory_bytes = 0;
-    metadata_memory_bytes = 0;
-    ops_applied = 0;
-    dropped = 0;
-    held = 0;
-    partitioned = 0;
-    sync_rounds = 0;
-    digest_bytes = 0;
-  }
+type round = Crdt_engine.Trace.counters
 
 type summary = {
   rounds : int;
-  total_messages : int;
-  total_payload : int;
-  total_metadata : int;
-  total_payload_bytes : int;
-  total_metadata_bytes : int;
-  total_wire_bytes : int;
-      (** exact framed wire bytes over all rounds; 0 under [Estimate]. *)
-  avg_memory_weight : float;  (** mean across rounds of system-wide resident elements. *)
+  totals : Crdt_engine.Trace.counters;
+  avg_memory_weight : float;
   avg_memory_bytes : float;
   max_memory_weight : int;
   avg_metadata_memory_bytes : float;
-  total_ops : int;  (** application operations applied over the rounds. *)
-  total_dropped : int;
-  total_held : int;
-  total_partitioned : int;
-  total_sync_rounds : int;
-      (** rounds that carried pure control traffic (digests, sessions). *)
-  total_digest_bytes : int;
-      (** wire bytes of that control traffic over all rounds. *)
 }
 
 let summarize (rounds : round array) : summary =
-  let n = Array.length rounds in
-  let fold f init = Array.fold_left f init rounds in
-  let fn = float_of_int (max n 1) in
+  let totals = Crdt_engine.Trace.sum rounds in
+  let avg x = float_of_int x /. float_of_int (max (Array.length rounds) 1) in
   {
-    rounds = n;
-    total_messages = fold (fun acc r -> acc + r.messages) 0;
-    total_payload = fold (fun acc r -> acc + r.payload) 0;
-    total_metadata = fold (fun acc r -> acc + r.metadata) 0;
-    total_payload_bytes = fold (fun acc r -> acc + r.payload_bytes) 0;
-    total_metadata_bytes = fold (fun acc r -> acc + r.metadata_bytes) 0;
-    total_wire_bytes = fold (fun acc r -> acc + r.wire_bytes) 0;
-    avg_memory_weight =
-      float_of_int (fold (fun acc r -> acc + r.memory_weight) 0) /. fn;
-    avg_memory_bytes =
-      float_of_int (fold (fun acc r -> acc + r.memory_bytes) 0) /. fn;
-    max_memory_weight = fold (fun acc r -> max acc r.memory_weight) 0;
-    avg_metadata_memory_bytes =
-      float_of_int (fold (fun acc r -> acc + r.metadata_memory_bytes) 0) /. fn;
-    total_ops = fold (fun acc r -> acc + r.ops_applied) 0;
-    total_dropped = fold (fun acc r -> acc + r.dropped) 0;
-    total_held = fold (fun acc r -> acc + r.held) 0;
-    total_partitioned = fold (fun acc r -> acc + r.partitioned) 0;
-    total_sync_rounds = fold (fun acc r -> acc + r.sync_rounds) 0;
-    total_digest_bytes = fold (fun acc r -> acc + r.digest_bytes) 0;
+    rounds = Array.length rounds;
+    totals;
+    avg_memory_weight = avg totals.memory_weight;
+    avg_memory_bytes = avg totals.memory_bytes;
+    max_memory_weight =
+      Array.fold_left (fun acc (r : round) -> max acc r.memory_weight) 0 rounds;
+    avg_metadata_memory_bytes = avg totals.metadata_memory_bytes;
   }
 
 (** Grand total of transmitted units (payload + metadata). *)
-let total_transmission s = s.total_payload + s.total_metadata
+let total_transmission s = s.totals.payload + s.totals.metadata
 
-let total_transmission_bytes s = s.total_payload_bytes + s.total_metadata_bytes
+let total_transmission_bytes s =
+  s.totals.payload_bytes + s.totals.metadata_bytes
 
 (** The headline byte figure under the given accounting mode: exact
     framed wire bytes when [Exact], the estimated payload + metadata
     model otherwise. *)
 let transmission_bytes ~accounting s =
   match accounting with
-  | Exact -> s.total_wire_bytes
+  | Exact -> s.totals.wire_bytes
   | Estimate -> total_transmission_bytes s
 
 (** Metadata share of all transmitted bytes (Section V-B2). *)
 let metadata_fraction s =
   let total = total_transmission_bytes s in
   if total = 0 then 0.
-  else float_of_int s.total_metadata_bytes /. float_of_int total
+  else float_of_int s.totals.metadata_bytes /. float_of_int total
 
 (** Throughput over a measured wall-clock interval (the benches report
     ops/sec and messages/sec instead of only totals). *)
 let ops_per_sec s ~seconds =
-  if seconds <= 0. then Float.nan else float_of_int s.total_ops /. seconds
+  if seconds <= 0. then Float.nan
+  else float_of_int s.totals.ops_applied /. seconds
 
 let msgs_per_sec s ~seconds =
   if seconds <= 0. then Float.nan
-  else float_of_int s.total_messages /. seconds
+  else float_of_int s.totals.messages /. seconds
 
 let ratio ~baseline x =
   if baseline = 0 then Float.nan else float_of_int x /. float_of_int baseline

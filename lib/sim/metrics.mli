@@ -11,62 +11,25 @@ type accounting = Estimate | Exact
 
 val accounting_name : accounting -> string
 
-type round = {
-  messages : int;  (** messages delivered this round. *)
-  payload : int;  (** lattice elements shipped. *)
-  metadata : int;  (** metadata units shipped. *)
-  payload_bytes : int;
-  metadata_bytes : int;
-  wire_bytes : int;
-      (** exact framed wire bytes of the messages delivered this round;
-          0 under [Estimate] accounting. *)
-  memory_weight : int;
-      (** elements resident across all nodes after the round. *)
-  memory_bytes : int;
-  metadata_memory_bytes : int;
-  ops_applied : int;  (** application operations applied this round. *)
-  dropped : int;
-      (** messages lost this round: probabilistic drops plus messages
-          addressed to a crashed node.  Dropped messages contribute
-          nothing to [messages] or the payload/metadata tallies. *)
-  held : int;
-      (** messages captured by a per-link delay this round; each is
-          counted in [messages] later, at its delivery round. *)
-  partitioned : int;  (** messages cut by an active partition this round. *)
-  sync_rounds : int;
-      (** 1 when at least one pure control message (zero payload weight,
-          non-zero metadata) was delivered this round — digest exchanges
-          and reconciliation-session traffic; 0 otherwise. *)
-  digest_bytes : int;
-      (** wire bytes of that control traffic this round (estimate bytes
-          under [Estimate] accounting). *)
-}
-
-val empty_round : round
+type round = Crdt_engine.Trace.counters
+(** One simulated round's tallies, summed over every node: the messages
+    delivered in the round with their costs, the operations applied, the
+    fault tallies, [sync_rounds] = 1 when the round carried any pure
+    control traffic, and the memory resident across all nodes after the
+    round. *)
 
 type summary = {
   rounds : int;
-  total_messages : int;
-  total_payload : int;
-  total_metadata : int;
-  total_payload_bytes : int;
-  total_metadata_bytes : int;
-  total_wire_bytes : int;
-      (** exact framed wire bytes over all rounds; 0 under [Estimate]. *)
+  totals : Crdt_engine.Trace.counters;
+      (** the rounds' field-wise sum ({!Crdt_engine.Trace.sum}); its
+          [sync_rounds] counts the rounds that carried control traffic,
+          and its [memory_*] fields are sums over rounds, which the
+          averages below divide out. *)
   avg_memory_weight : float;
       (** mean across rounds of system-wide resident elements. *)
   avg_memory_bytes : float;
   max_memory_weight : int;
   avg_metadata_memory_bytes : float;
-  total_ops : int;
-      (** application operations applied over the rounds. *)
-  total_dropped : int;
-  total_held : int;
-  total_partitioned : int;
-  total_sync_rounds : int;
-      (** rounds that carried pure control traffic (digests, sessions). *)
-  total_digest_bytes : int;
-      (** wire bytes of that control traffic over all rounds. *)
 }
 
 val summarize : round array -> summary

@@ -50,10 +50,10 @@ let tests =
         let a = P.init ~id:0 ~neighbors:[ 1 ] ~total:2 in
         let b = P.init ~id:1 ~neighbors:[ 0 ] ~total:2 in
         let a = P.local_update a "x" in
-        let before = P.memory_weight a in
+        let before = (P.memory a).weight in
         let a, msgs = P.tick a in
         (* Without the ack the buffer entry survives the tick. *)
-        check_int "still buffered" before (P.memory_weight a);
+        check_int "still buffered" before (P.memory a).weight;
         let _, replies = P.handle b ~src:0 (Option.get (to_dest 1 msgs)) in
         let a =
           List.fold_left
@@ -61,7 +61,7 @@ let tests =
             a replies
         in
         let a, _ = P.tick a in
-        check "drained" true (P.memory_weight a < before));
+        check "drained" true ((P.memory a).weight < before));
     Alcotest.test_case "duplicated acks are harmless" `Quick (fun () ->
         let a = P.init ~id:0 ~neighbors:[ 1 ] ~total:2 in
         let b = P.init ~id:1 ~neighbors:[ 0 ] ~total:2 in
@@ -126,15 +126,15 @@ let eviction_tests =
           ]
         in
         let a = P.local_update a "x" in
-        let buffered = P.memory_weight a in
+        let buffered = (P.memory a).weight in
         (* Round 1: the message to 2 is dropped; only 1 acks. *)
         let a, peers = exchange a peers [ 1 ] in
-        check_int "kept while 2 is missing it" buffered (P.memory_weight a);
+        check_int "kept while 2 is missing it" buffered (P.memory a).weight;
         (* Round 2: 2 finally receives and acks; the entry is evicted on
            the next tick. *)
         let a, _ = exchange a peers [ 2 ] in
         let a, _ = P.tick a in
-        check "evicted once both acked" true (P.memory_weight a < buffered));
+        check "evicted once both acked" true ((P.memory a).weight < buffered));
     Alcotest.test_case "repeated drops never evict prematurely" `Quick
       (fun () ->
         let a = P.init ~id:0 ~neighbors:[ 1; 2 ] ~total:3 in
@@ -145,7 +145,7 @@ let eviction_tests =
           ]
         in
         let a = P.local_update a "x" in
-        let buffered = P.memory_weight a in
+        let buffered = (P.memory a).weight in
         (* Three rounds of total loss: the entry must stay put and keep
            being retransmitted to both neighbors. *)
         let a =
@@ -153,7 +153,7 @@ let eviction_tests =
             (fun a _ ->
               let a, msgs = P.tick a in
               check_int "still retransmitting to both" 2 (List.length msgs);
-              check_int "still buffered" buffered (P.memory_weight a);
+              check_int "still buffered" buffered (P.memory a).weight;
               a)
             a [ (); (); () ]
         in
@@ -172,7 +172,7 @@ let eviction_tests =
         (* Drop a's ack to b; it is irrelevant to a's buffer. *)
         ignore replies;
         let state_w = S.cardinal (P.state a) in
-        check "y buffered at a" true (P.memory_weight a > state_w);
+        check "y buffered at a" true ((P.memory a).weight > state_w);
         let a, msgs = P.tick a in
         check "forwarded to 2 only" true
           (to_dest 2 msgs <> None && to_dest 1 msgs = None);
@@ -183,7 +183,7 @@ let eviction_tests =
             a replies
         in
         let a, _ = P.tick a in
-        check_int "evicted after 2's ack alone" state_w (P.memory_weight a));
+        check_int "evicted after 2's ack alone" state_w (P.memory a).weight);
   ]
 
 let () =

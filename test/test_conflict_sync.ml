@@ -390,8 +390,8 @@ let fault_tests =
         in
         let res = go ~faults ~topology:mesh ~rounds:10 () in
         let s = R.full_summary res in
-        check "sync rounds counted" true (s.Metrics.total_sync_rounds > 0);
-        check "digest bytes counted" true (s.Metrics.total_digest_bytes > 0));
+        check "sync rounds counted" true (s.Metrics.totals.sync_rounds > 0);
+        check "digest bytes counted" true (s.Metrics.totals.digest_bytes > 0));
   ]
 
 (* ------------------------------------------------------------------ *)

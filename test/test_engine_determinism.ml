@@ -131,7 +131,7 @@ let ops_applied_counted =
         (fun (r : Metrics.round) -> check_int "quiesce applies none" 0 r.ops_applied)
         res.C_bprr.R.quiesce_rounds;
       check_int "summary total" 15
-        (C_bprr.R.summary res).Metrics.total_ops)
+        (C_bprr.R.summary res).Metrics.totals.ops_applied)
 
 (* -- Shard.Make driven directly ----------------------------------------- *)
 

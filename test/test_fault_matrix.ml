@@ -176,12 +176,12 @@ let capability_tests =
         let module H = Harness.Make (Si) in
         let sel, excluded =
           H.mask_unsupported drop_plan
-            { Harness.all_protocols with delta_ack = true }
+            ("delta-bp+rr-ack" :: Harness.default_protocols)
         in
-        check "bp+rr masked" true (not sel.Harness.delta_bp_rr);
-        check "op masked" true (not sel.Harness.op_based);
-        check "state kept" true sel.Harness.state_based;
-        check "ack kept" true sel.Harness.delta_ack;
+        check "bp+rr masked" true (not (List.mem "delta-bp+rr" sel));
+        check "op masked" true (not (List.mem "op-based" sel));
+        check "state kept" true (List.mem "state-based" sel);
+        check "ack kept" true (List.mem "delta-bp+rr-ack" sel);
         check "masked names reported" true
           (List.mem "delta-bp+rr" excluded && List.mem "op-based" excluded);
         let sel', excluded' = H.mask_unsupported Fault.none sel in
@@ -248,9 +248,9 @@ let partition_tests =
           F_state.go ~faults:plan ~topology:mesh ~rounds:10 ()
         in
         let s = F_state.R.full_summary res in
-        check "partitioned > 0" true (s.Metrics.total_partitioned > 0);
+        check "partitioned > 0" true (s.Metrics.totals.partitioned > 0);
         check "nothing dropped or held" true
-          (s.Metrics.total_dropped = 0 && s.Metrics.total_held = 0));
+          (s.Metrics.totals.dropped = 0 && s.Metrics.totals.held = 0));
   ]
 
 (* -- crash–restart -------------------------------------------------------- *)
@@ -297,7 +297,7 @@ let crash_tests =
       (fun () ->
         let res = F_state.go ~faults:plan ~topology:mesh ~rounds () in
         let s = F_state.R.full_summary res in
-        check "dropped > 0" true (s.Metrics.total_dropped > 0));
+        check "dropped > 0" true (s.Metrics.totals.dropped > 0));
     Alcotest.test_case "back-to-back crash windows on one victim" `Quick
       (fun () ->
         let plan =
@@ -352,8 +352,8 @@ let delay_tests =
       (fun () ->
         let res = F_state.go ~faults:plan ~topology ~rounds () in
         let s = F_state.R.full_summary res in
-        check "held > 0" true (s.Metrics.total_held > 0);
-        check "nothing dropped" true (s.Metrics.total_dropped = 0));
+        check "held > 0" true (s.Metrics.totals.held > 0);
+        check "nothing dropped" true (s.Metrics.totals.dropped = 0));
   ]
 
 (* -- loss accounting (the metrics-inflation fix) -------------------------- *)
@@ -369,10 +369,10 @@ let loss_tests =
         in
         check "not converged" true (not res.F_state.R.converged);
         let s = F_state.R.full_summary res in
-        check_int "no message delivered" 0 s.Metrics.total_messages;
-        check_int "no payload counted" 0 s.Metrics.total_payload;
-        check_int "no metadata bytes counted" 0 s.Metrics.total_metadata_bytes;
-        check "everything dropped" true (s.Metrics.total_dropped > 0));
+        check_int "no message delivered" 0 s.Metrics.totals.messages;
+        check_int "no payload counted" 0 s.Metrics.totals.payload;
+        check_int "no metadata bytes counted" 0 s.Metrics.totals.metadata_bytes;
+        check "everything dropped" true (s.Metrics.totals.dropped > 0));
     Alcotest.test_case "delivered + dropped balances the sends (seed 42)"
       `Quick
       (fun () ->
@@ -385,12 +385,12 @@ let loss_tests =
         let res = F_state.go ~faults ~topology:ring ~rounds () in
         let s = F_state.R.summary res in
         check_int "delivered + dropped = sent" (rounds * 10)
-          (s.Metrics.total_messages + s.Metrics.total_dropped);
+          (s.Metrics.totals.messages + s.Metrics.totals.dropped);
         (* Regression pin: these exact totals changed when the metrics
            inflation bug was fixed (messages used to be counted before
            the drop check); any accounting change must show up here. *)
-        check_int "delivered (pinned)" 25 s.Metrics.total_messages;
-        check_int "dropped (pinned)" 15 s.Metrics.total_dropped);
+        check_int "delivered (pinned)" 25 s.Metrics.totals.messages;
+        check_int "dropped (pinned)" 15 s.Metrics.totals.dropped);
     Alcotest.test_case "ack-mode delta converges through heavy loss" `Quick
       (fun () ->
         let faults = { Fault.none with Fault.drop = 0.4; seed = 5 } in

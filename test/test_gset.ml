@@ -111,13 +111,13 @@ let naive_tests =
         in
         let module Ho = Harness.Make (Gset.Of_int) in
         let module Hn = Harness.Make (Gset.Naive_of_int) in
-        let sel = Harness.delta_only in
+        let sel = [ "delta-classic"; "delta-bp+rr" ] in
         let optimal = Ho.run ~selection:sel ~topology:topo ~rounds:12 ~ops () in
         let naive = Hn.run ~selection:sel ~topology:topo ~rounds:12 ~ops () in
         let payload outs =
           List.fold_left
             (fun acc (o : Harness.outcome) ->
-              acc + o.summary.Metrics.total_payload)
+              acc + o.summary.Metrics.totals.payload)
             0 outs
         in
         check "naive > optimal" true (payload naive > payload optimal));

@@ -126,7 +126,7 @@ let convergence =
         in
         (* Merkle's hash metadata alone — root, subtree and bucket
            digests on the wire — outweighs everything BP+RR sends. *)
-        let digest = (R.full_summary merkle).Metrics.total_digest_bytes in
+        let digest = (R.full_summary merkle).Metrics.totals.digest_bytes in
         let bprr_tx =
           Metrics.total_transmission_bytes (Rd.full_summary bprr)
         in

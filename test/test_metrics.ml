@@ -11,6 +11,7 @@ let round ?(messages = 0) ?(payload = 0) ?(metadata = 0) ?(payload_bytes = 0)
     ?(dropped = 0) ?(held = 0) ?(partitioned = 0) ?(sync_rounds = 0)
     ?(digest_bytes = 0) () : Metrics.round =
   {
+    (Crdt_engine.Trace.make_counters ()) with
     messages;
     payload;
     metadata;
@@ -38,15 +39,15 @@ let tests =
           |]
         in
         let s = Metrics.summarize rounds in
-        check_int "messages" 6 s.total_messages;
-        check_int "payload" 40 s.total_payload;
-        check_int "metadata" 4 s.total_metadata;
+        check_int "messages" 6 s.totals.messages;
+        check_int "payload" 40 s.totals.payload;
+        check_int "metadata" 4 s.totals.metadata;
         check "avg memory" true (s.avg_memory_weight = 6.);
         check_int "max memory" 8 s.max_memory_weight;
         check_int "rounds" 2 s.rounds);
     Alcotest.test_case "empty run summarizes to zeros" `Quick (fun () ->
         let s = Metrics.summarize [||] in
-        check_int "payload" 0 s.total_payload;
+        check_int "payload" 0 s.totals.payload;
         check "avg" true (s.avg_memory_weight = 0.));
     Alcotest.test_case "total transmission adds payload and metadata" `Quick
       (fun () ->
@@ -68,7 +69,7 @@ let tests =
               round ~messages:20 ~ops_applied:6 ();
             |]
         in
-        check_int "total ops" 10 s.total_ops;
+        check_int "total ops" 10 s.totals.ops_applied;
         check "ops/sec" true (Metrics.ops_per_sec s ~seconds:2. = 5.);
         check "msgs/sec" true (Metrics.msgs_per_sec s ~seconds:2. = 15.);
         check "nan on zero interval" true
@@ -81,9 +82,9 @@ let tests =
               round ~dropped:4 ~partitioned:5 ();
             |]
         in
-        check_int "dropped" 7 s.total_dropped;
-        check_int "held" 1 s.total_held;
-        check_int "partitioned" 7 s.total_partitioned);
+        check_int "dropped" 7 s.totals.dropped;
+        check_int "held" 1 s.totals.held;
+        check_int "partitioned" 7 s.totals.partitioned);
     Alcotest.test_case "ratios" `Quick (fun () ->
         check "ratio" true (Metrics.ratio ~baseline:10 25 = 2.5);
         check "nan on zero baseline" true

@@ -383,7 +383,7 @@ let scuttlebutt_test () =
 
 (* The simulator's prediction for the serve workload: same registry
    workload, same protocol, full mesh, exact byte accounting. *)
-let sim_wire_bytes ~crdt ~protocol ~n ~ops =
+let sim_totals ~crdt ~protocol ~n ~ops =
   let module S = (val Registry.find_crdt crdt) in
   let module P =
     (val Registry.instantiate
@@ -401,12 +401,30 @@ let sim_wire_bytes ~crdt ~protocol ~n ~ops =
       ()
   in
   Alcotest.(check bool) "simulator converged" true res.R.converged;
-  (R.full_summary res).Crdt_sim.Metrics.total_wire_bytes
+  (R.full_summary res).Crdt_sim.Metrics.totals
+
+(* Every additive key of the --metrics-out totals object, with its
+   field in the simulator's summary totals.  [sync_rounds] is left out:
+   it does not sum across processes — each serve process counts every
+   round in which it received control traffic, so a digest round counts
+   once per process, against once for the whole simulated cluster. *)
+let additive_totals : (string * (Crdt_engine.Trace.counters -> int)) list =
+  [
+    ("messages", fun c -> c.messages);
+    ("payload", fun c -> c.payload);
+    ("metadata", fun c -> c.metadata);
+    ("payload_bytes", fun c -> c.payload_bytes);
+    ("metadata_bytes", fun c -> c.metadata_bytes);
+    ("wire_bytes", fun c -> c.wire_bytes);
+    ("ops_applied", fun c -> c.ops_applied);
+    ("digest_bytes", fun c -> c.digest_bytes);
+  ]
 
 (* The headline engine claim: a --lockstep socket cluster and the
    in-process simulator running the same seeded workload account the
-   same wire traffic, to the byte.  Any divergence in what the shared
-   driver ships or how the trace layer counts it fails this test.
+   same traffic, to the byte: every additive totals key, summed over the
+   serve processes, equals the simulator's.  Any divergence in what the
+   shared driver ships or how the trace layer counts it fails this test.
 
    The same run pins write coalescing: each replica writes one Hello per
    peer, then per round exactly two writes per peer — the round's
@@ -417,13 +435,17 @@ let cross_check ?(protocol = "delta-bp+rr") ~crdt ~n ~ops () =
   in
   Alcotest.(check bool)
     "all replicas encode byte-identically" true (all_identical encodings);
-  let socket_bytes =
-    List.fold_left (fun acc m -> acc + scrape_int ~key:"wire_bytes" m) 0 metrics
+  let socket key =
+    List.fold_left (fun acc m -> acc + scrape_int ~key m) 0 metrics
   in
-  Alcotest.(check bool) "sockets moved bytes" true (socket_bytes > 0);
-  let sim_bytes = sim_wire_bytes ~crdt ~protocol ~n ~ops in
-  Alcotest.(check int) "simulator and sockets agree on total wire bytes"
-    sim_bytes socket_bytes;
+  Alcotest.(check bool) "sockets moved bytes" true (socket "wire_bytes" > 0);
+  let sim = sim_totals ~crdt ~protocol ~n ~ops in
+  List.iter
+    (fun (key, field) ->
+      Alcotest.(check int)
+        (Printf.sprintf "simulator and sockets agree on total %s" key)
+        (field sim) (socket key))
+    additive_totals;
   List.iteri
     (fun i m ->
       let ticks = scrape_int ~key:"ticks" m in

@@ -106,12 +106,12 @@ let forwarding_tests =
       `Quick (fun () ->
         let a = P.init ~id:0 ~neighbors:[ 1; 2 ] ~total:3 in
         let a = P.local_update a "x" in
-        let before = P.memory_weight a in
+        let before = (P.memory a).weight in
         let a, _ = P.tick a in
         (* after shipping to both neighbors the entry is evicted; what
            remains is the CRDT element plus the delivered-ops clock. *)
-        check "entry evicted" true (P.memory_weight a < before);
-        check_int "crdt + clock entry" 2 (P.memory_weight a));
+        check "entry evicted" true ((P.memory a).weight < before);
+        check_int "crdt + clock entry" 2 (P.memory a).weight);
   ]
 
 let metadata_tests =

@@ -246,7 +246,7 @@ struct
           Workload.gset ~nodes:(Topology.size topo) ~round ~node ())
         ()
     in
-    (R.summary res).Metrics.total_payload
+    (R.summary res).Metrics.totals.payload
 end
 
 module V_state = Volume (State_sync.Make (Si))
@@ -288,7 +288,7 @@ module Opt_bp = Runner.Make (Delta_sync.Make (Si) (Delta_sync.Bp_config))
 
 let full_payload rounds quiesce =
   let sum arr =
-    Array.fold_left (fun acc (r : Metrics.round) -> acc + r.Metrics.payload) 0 arr
+    Array.fold_left (fun acc (r : Metrics.round) -> acc + r.payload) 0 arr
   in
   sum rounds + sum quiesce
 
@@ -375,8 +375,8 @@ let special_case_tests =
             ()
         in
         check_int "identical payload"
-          (V_gmap.summary gmap).Metrics.total_payload
-          (V_gcounter.summary gcounter).Metrics.total_payload);
+          (V_gmap.summary gmap).Metrics.totals.payload
+          (V_gcounter.summary gcounter).Metrics.totals.payload);
   ]
 
 (* -- Transport faults --------------------------------------------------- *)
@@ -525,8 +525,8 @@ let memory_tests =
         let module P = State_sync.Make (Si) in
         let n = P.init ~id:0 ~neighbors:[ 1 ] ~total:2 in
         let n = P.local_update n 42 in
-        check_int "memory = crdt only" 1 (P.memory_weight n);
-        check_int "no metadata" 0 (P.metadata_memory_bytes n));
+        check_int "memory = crdt only" 1 (P.memory n).weight;
+        check_int "no metadata" 0 (P.memory n).metadata_bytes);
     Alcotest.test_case "delta buffers count toward memory until flushed"
       `Quick (fun () ->
         let module P = Delta_sync.Make (Si) (Delta_sync.Bp_rr_config) in
@@ -534,9 +534,9 @@ let memory_tests =
         let n = P.local_update n 1 in
         let n = P.local_update n 2 in
         (* state weight 2 + buffered deltas weight 2 *)
-        check_int "with buffer" 4 (P.memory_weight n);
+        check_int "with buffer" 4 (P.memory n).weight;
         let n, _ = P.tick n in
-        check_int "after flush" 2 (P.memory_weight n));
+        check_int "after flush" 2 (P.memory n).weight);
     Alcotest.test_case "conflict-sync and BP+RR: one buffer, one memory figure"
       `Quick (fun () ->
         check_float "Fig. 10 GMap 100% avg resident elements"

@@ -248,6 +248,23 @@ let driver =
 
 (* -- trace layer -------------------------------------------------------- *)
 
+(* The lines [Trace.jsonl] writes for the sink calls [f] makes. *)
+let jsonl_lines f =
+  let path = Filename.temp_file "trace" ".jsonl" in
+  let oc = open_out path in
+  f (Trace.jsonl oc);
+  close_out oc;
+  let ic = open_in path in
+  let rec read acc =
+    match input_line ic with
+    | line -> read (line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let lines = read [] in
+  close_in ic;
+  Sys.remove path;
+  lines
+
 let trace =
   [
     Alcotest.test_case "counting sink implements the Metrics discipline"
@@ -282,35 +299,30 @@ let trace =
         let t = Trace.tee (Trace.counting c1) (Trace.counting c2) in
         check "counting sinks are cheap" false t.Trace.detailed;
         let detailed =
-          Trace.tee (Trace.counting c1) (Trace.event_sink (fun _ -> ()))
+          Trace.tee (Trace.counting c1) { Trace.null with detailed = true }
         in
-        check "event sink forces detail" true detailed.Trace.detailed;
+        check "a detailed sink forces detail" true detailed.Trace.detailed;
         t.Trace.recv ~node:0 ~src:1 ~round:0 ~weight:1 ~metadata:0
           ~payload_bytes:8 ~metadata_bytes:0 ~wire_bytes:6;
         check_int "both counted" 1 c1.Trace.messages;
         check_int "both counted'" 1 c2.Trace.messages);
-    Alcotest.test_case "events serialize to one-line JSON" `Quick (fun () ->
-        check_string "send"
-          {|{"ev":"send","src":0,"dest":2,"round":7,"weight":1,"metadata":0,"payload_bytes":8,"metadata_bytes":0,"wire_bytes":6}|}
-          (Trace.event_to_json
-             (Trace.Send
-                {
-                  src = 0;
-                  dest = 2;
-                  round = 7;
-                  weight = 1;
-                  metadata = 0;
-                  payload_bytes = 8;
-                  metadata_bytes = 0;
-                  wire_bytes = 6;
-                }));
-        check_string "meta escapes"
-          {|{"ev":"meta","note":"a\"b\nc"}|}
-          (Trace.event_to_json (Trace.Meta { note = "a\"b\nc" })));
-    Alcotest.test_case "event sink sees the full driver cycle" `Quick
+    Alcotest.test_case "jsonl writes one-line JSON per event" `Quick
       (fun () ->
-        let events = ref [] in
-        let sink = Trace.event_sink (fun e -> events := e :: !events) in
+        let send (s : Trace.sink) =
+          s.send ~src:0 ~dest:2 ~round:7 ~weight:1 ~metadata:0
+            ~payload_bytes:8 ~metadata_bytes:0 ~wire_bytes:6
+        in
+        Alcotest.(check (list string))
+          "send"
+          [
+            {|{"ev":"send","src":0,"dest":2,"round":7,"weight":1,"metadata":0,"payload_bytes":8,"metadata_bytes":0,"wire_bytes":6}|};
+          ]
+          (jsonl_lines send);
+        Alcotest.(check (list string))
+          "meta escapes"
+          [ {|{"ev":"meta","note":"a\"b\nc"}|} ]
+          (jsonl_lines (fun s -> s.meta "a\"b\nc")));
+    Alcotest.test_case "jsonl sees the full driver cycle" `Quick (fun () ->
         let maker = Registry.find_protocol "delta-bp+rr" in
         let module P =
           (val Registry.instantiate maker
@@ -319,40 +331,38 @@ let trace =
                     and type op = Gc.op))
         in
         let module D = Crdt_engine.Driver.Make (P) in
-        let a = D.create ~sink ~id:0 ~neighbors:[ 1 ] ~total:2 () in
-        let b = D.create ~sink ~id:1 ~neighbors:[ 0 ] ~total:2 () in
-        ignore (D.apply a [ Gc.Inc 1 ]);
-        let inbox = Queue.create () in
-        D.tick a ~round:0 ~emit:(fun ~dest:_ msg -> Queue.add msg inbox);
-        Queue.iter
-          (fun msg ->
-            D.deliver b ~round:0 ~src:0 ~emit:(fun ~dest:_ _ -> ()) msg)
-          inbox;
-        D.finish b ~round:1;
-        let kinds =
-          List.rev_map
-            (function
-              | Trace.Tick _ -> `Tick
-              | Trace.Send _ -> `Send
-              | Trace.Recv _ -> `Recv
-              | Trace.Deliver _ -> `Deliver
-              | Trace.Done _ -> `Done
-              | _ -> `Other)
-            !events
+        let lines =
+          jsonl_lines (fun sink ->
+              let a = D.create ~sink ~id:0 ~neighbors:[ 1 ] ~total:2 () in
+              let b = D.create ~sink ~id:1 ~neighbors:[ 0 ] ~total:2 () in
+              ignore (D.apply a [ Gc.Inc 1 ]);
+              let inbox = Queue.create () in
+              D.tick a ~round:0 ~emit:(fun ~dest:_ msg -> Queue.add msg inbox);
+              Queue.iter
+                (fun msg ->
+                  D.deliver b ~round:0 ~src:0 ~emit:(fun ~dest:_ _ -> ()) msg)
+                inbox;
+              D.finish b ~round:1)
         in
-        check "tick seen" true (List.mem `Tick kinds);
-        check "send seen" true (List.mem `Send kinds);
-        check "recv seen" true (List.mem `Recv kinds);
-        check "deliver seen" true (List.mem `Deliver kinds);
-        check "done seen" true (List.mem `Done kinds);
-        (* Send events carry real costs because the event sink is
+        let kinds =
+          List.map (fun l -> Scanf.sscanf l {|{"ev":"%s@"|} Fun.id) lines
+        in
+        check "tick seen" true (List.mem "tick" kinds);
+        check "send seen" true (List.mem "send" kinds);
+        check "recv seen" true (List.mem "recv" kinds);
+        check "deliver seen" true (List.mem "deliver" kinds);
+        check "done seen" true (List.mem "done" kinds);
+        (* Send lines carry real costs because the JSONL sink is
            detailed. *)
+        let send_wire_bytes l =
+          Scanf.sscanf l
+            {|{"ev":"send","src":%_d,"dest":%_d,"round":%_d,"weight":%_d,"metadata":%_d,"payload_bytes":%_d,"metadata_bytes":%_d,"wire_bytes":%d}|}
+            Fun.id
+        in
         check "send costs computed" true
           (List.exists
-             (function
-               | Trace.Send { wire_bytes; _ } -> wire_bytes > 0
-               | _ -> false)
-             !events));
+             (fun l -> contains ~needle:{|"ev":"send"|} l && send_wire_bytes l > 0)
+             lines));
   ]
 
 (* -- one accounting path: trace totals = Metrics totals ----------------- *)
@@ -380,9 +390,9 @@ let accounting =
         in
         let s = R.full_summary res in
         check "converged" true res.R.converged;
-        check_int "messages" s.Metrics.total_messages seen.Trace.messages;
-        check_int "payload" s.Metrics.total_payload seen.Trace.payload;
-        check_int "wire bytes" s.Metrics.total_wire_bytes seen.Trace.wire_bytes);
+        check_int "messages" s.Metrics.totals.messages seen.Trace.messages;
+        check_int "payload" s.Metrics.totals.payload seen.Trace.payload;
+        check_int "wire bytes" s.Metrics.totals.wire_bytes seen.Trace.wire_bytes);
     Alcotest.test_case "a sink requires the sequential engine" `Quick
       (fun () ->
         let module Si = Crdt_core.Gset.Of_int in

@@ -53,8 +53,8 @@ let runner_tests =
         in
         Array.iter
           (fun (r : Metrics.round) ->
-            check "messages" true (r.Metrics.messages > 0);
-            check "payload" true (r.Metrics.payload > 0))
+            check "messages" true (r.messages > 0);
+            check "payload" true (r.payload > 0))
           res.R.rounds);
     Alcotest.test_case "same seed ⇒ identical faulty runs" `Quick (fun () ->
         let go () =
@@ -71,7 +71,7 @@ let runner_tests =
             R.run ~faults ~equal:Si.equal ~topology:topo ~rounds:6
               ~ops:(unique_ops topo) ()
           in
-          (R.summary res).Metrics.total_payload
+          (R.summary res).Metrics.totals.payload
         in
         check_int "deterministic" (go ()) (go ()));
     Alcotest.test_case "duplication increases delivered traffic" `Quick
@@ -124,21 +124,37 @@ let harness_tests =
         check_int "ten" 10 (List.length outcomes);
         check "all converged" true
           (List.for_all (fun (o : Harness.outcome) -> o.converged) outcomes));
-    Alcotest.test_case "delta_only runs classic and bp+rr" `Quick (fun () ->
+    Alcotest.test_case "a named selection runs classic and bp+rr" `Quick
+      (fun () ->
         let topo = Topology.ring 5 in
         let outcomes =
-          H.run ~selection:Harness.delta_only ~topology:topo ~rounds:4
-            ~ops:(unique_ops topo) ()
+          H.run ~selection:[ "delta-bp+rr"; "delta-classic" ]
+            ~topology:topo ~rounds:4 ~ops:(unique_ops topo) ()
         in
         Alcotest.(check (list string))
           "names"
           [ "delta-classic"; "delta-bp+rr" ]
           (List.map (fun (o : Harness.outcome) -> o.protocol) outcomes));
+    Alcotest.test_case "an unknown protocol name is rejected" `Quick
+      (fun () ->
+        let rejects f =
+          try
+            ignore (f ());
+            false
+          with Invalid_argument _ -> true
+        in
+        let topo = Topology.ring 3 in
+        check "run" true
+          (rejects (fun () ->
+               H.run ~selection:[ "delta-bp+rr"; "delta-bogus" ]
+                 ~topology:topo ~rounds:1 ~ops:(unique_ops topo) ()));
+        check "mask_unsupported" true
+          (rejects (fun () -> H.mask_unsupported Fault.none [ "delta-bogus" ])));
     Alcotest.test_case "baseline finds bp+rr" `Quick (fun () ->
         let topo = Topology.ring 5 in
         let outcomes =
-          H.run ~selection:Harness.delta_only ~topology:topo ~rounds:4
-            ~ops:(unique_ops topo) ()
+          H.run ~selection:[ "delta-classic"; "delta-bp+rr" ] ~topology:topo
+            ~rounds:4 ~ops:(unique_ops topo) ()
         in
         Alcotest.(check string)
           "baseline" "delta-bp+rr"

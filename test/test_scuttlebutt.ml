@@ -52,9 +52,9 @@ let basics =
         let _, b, replies = two_node_exchange () in
         let _, pairs = List.hd replies in
         let b, _ = Sb.handle b ~src:0 pairs in
-        let before = Sb.memory_weight b in
+        let before = (Sb.memory b).weight in
         let b, _ = Sb.handle b ~src:0 pairs in
-        check_int "memory unchanged" before (Sb.memory_weight b));
+        check_int "memory unchanged" before (Sb.memory b).weight);
   ]
 
 (* Run the mesh micro-benchmark and inspect store growth. *)
@@ -80,8 +80,8 @@ let growth_tests =
         (* In the original design the last round's memory dominates the
            average (monotone growth). *)
         let rounds = res_plain.R_sb.rounds in
-        let last = rounds.(Array.length rounds - 1).Metrics.memory_weight in
-        let first = rounds.(0).Metrics.memory_weight in
+        let last = rounds.(Array.length rounds - 1).memory_weight in
+        let first = rounds.(0).memory_weight in
         check "plain store grows monotonically" true (last > first));
     Alcotest.test_case "GC metadata is quadratic-ish; plain is linear-ish"
       `Quick (fun () ->
@@ -93,7 +93,7 @@ let growth_tests =
         let res_gc =
           R_gc.run ~equal:Gset.Of_int.equal ~topology:topo ~rounds:10 ~ops ()
         in
-        let md r = (Metrics.summarize r).Metrics.total_metadata_bytes in
+        let md r = (Metrics.summarize r).Metrics.totals.metadata_bytes in
         check "GC ships more metadata" true
           (md res_gc.R_gc.rounds > 2 * md res_plain.R_sb.rounds));
   ]
@@ -115,7 +115,7 @@ let opaque_values =
         in
         (* CRDT weight is 1 entry, but the store holds 5 deltas. *)
         check_int "crdt entry" 1 (Gcounter.weight (Sbc.state a));
-        check "store is larger than the CRDT" true (Sbc.memory_weight a >= 6));
+        check "store is larger than the CRDT" true ((Sbc.memory a).weight >= 6));
   ]
 
 let () =
