@@ -38,7 +38,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
       ops_applied = 0;
     }
 
-  let id t = t.id
   let state t = P.state t.node
   let down t = t.down
   let dirty t = t.dirty
@@ -161,30 +160,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     t.store_dirty <- true
 
   let finish t ~round = t.sink.finish ~node:t.id ~round
-
-  type snapshot = {
-    s_node : P.node;
-    s_down : bool;
-    s_dirty : bool;
-    s_store_dirty : bool;
-    s_ops_applied : int;
-  }
-
-  let snapshot t =
-    {
-      s_node = t.node;
-      s_down = t.down;
-      s_dirty = t.dirty;
-      s_store_dirty = t.store_dirty;
-      s_ops_applied = t.ops_applied;
-    }
-
-  let restore t s =
-    t.node <- s.s_node;
-    t.down <- s.s_down;
-    t.dirty <- s.s_dirty;
-    t.store_dirty <- s.s_store_dirty;
-    t.ops_applied <- s.s_ops_applied
 
   let memory t = P.memory t.node
 end

@@ -3,10 +3,11 @@
     One {!Make.t} value is one replica of one protocol: it owns the
     [P.node], applies operations, runs synchronization ticks, handles
     received messages, and survives crash/restart — reporting every step
-    to a {!Trace.sink}.  Transports stay thin: the simulator's shard loop
-    and the socket runtime both reduce to "move the messages the driver
-    [emit]s and feed back what arrives", so the apply → tick → ship →
-    handle → replies cycle (and its accounting) is defined exactly once.
+    to a {!Trace.sink}.  Transports stay thin: the simulator
+    ([Crdt_sim.Runner]), the socket runtime and the model checker all
+    reduce to "move the messages the driver [emit]s and feed back what
+    arrives", so the apply → tick → ship → handle → replies cycle (and
+    its accounting) is defined exactly once.
 
     Outbound messages are reported through an [emit] callback rather
     than returned as lists, so transports can push them straight into
@@ -32,7 +33,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) : sig
       by the socket runtime's quiescence detection; costs one state
       comparison per delivery, so the simulator leaves it off). *)
 
-  val id : t -> int
   val state : t -> P.crdt
   val down : t -> bool
 
@@ -104,21 +104,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) : sig
 
   val finish : t -> round:int -> unit
   (** Report a [Done] event (the replica converged / agreed to stop). *)
-
-  type snapshot
-  (** An immutable image of the replica's full state (protocol node,
-      up/down flag, dirty flag, operation count).  [P.node] values are
-      persistent, so a snapshot is a constant-size record copy. *)
-
-  val snapshot : t -> snapshot
-
-  val restore : t -> snapshot -> unit
-  (** Rewind the replica to a previous {!snapshot}.  Together with
-      {!snapshot} this is the seam deterministic single-step schedulers
-      (the model checker in [lib/check]) use to branch an execution:
-      snapshot, explore one continuation, restore, explore the next.
-      Trace events already reported are {e not} retracted — exploration
-      sinks must expect replayed prefixes or use {!Trace.null}. *)
 
   val memory : t -> Crdt_proto.Protocol_intf.memory
   (** [P.memory] of the replica's node. *)

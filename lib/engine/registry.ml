@@ -80,8 +80,7 @@ let protocols : proto list =
       let name = "merkle"
       let doc = "hash-tree anti-entropy (related-work baseline)"
 
-      module Make (C : Protocol_intf.CRDT) =
-        Merkle_sync.Make (C) (Merkle_sync.Default_config)
+      module Make (C : Protocol_intf.CRDT) = Merkle_sync.Make (C)
     end);
     (module struct
       let name = "conflict-sync"

@@ -245,11 +245,30 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
       Printf.eprintf ("node %d: " ^^ fmt ^^ "\n%!") st.cfg.id
     else Printf.ifprintf stderr fmt
 
+  (* The part of a dial after connect(2), shared by the start-up dial
+     and the redial: say Hello, register the fd with the event loop and
+     record the link to peer [j].  TCP connections disable Nagle: the
+     delta protocols emit small frames whose delivery the default
+     coalescing would delay a full RTT-or-timer.  A failed Hello closes
+     the connection and returns the error. *)
+  let link st j addr fd =
+    (match addr with
+    | Addr.Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+    | Addr.Unix_sock _ -> ());
+    let conn = Conn.create fd in
+    match Conn.send conn ~kind:kind_hello (id_payload st.cfg.id) with
+    | Error _ as e ->
+        Conn.close conn;
+        e
+    | Ok () ->
+        Evloop.add st.loop ~read:false (Conn.fd conn);
+        Evloop.set_write st.loop (Conn.fd conn) (Conn.pending_out conn > 0);
+        Hashtbl.replace st.out j conn;
+        Ok ()
+
   (* Dial with exponential backoff + jitter (capped), so a cluster
      starting out of order waits instead of hammering connect(2) in a
-     busy loop.  TCP connections disable Nagle: the delta protocols
-     emit small frames whose delivery the default coalescing would
-     delay a full RTT-or-timer. *)
+     busy loop. *)
   let dial st (j, addr) =
     let deadline = Unix.gettimeofday () +. st.cfg.dial_timeout_s in
     let rec attempt delay =
@@ -267,17 +286,9 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
           (try Unix.close fd with Unix.Unix_error _ -> ());
           raise e
     in
-    let fd = attempt 0.01 in
-    (match addr with
-    | Addr.Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
-    | Addr.Unix_sock _ -> ());
-    let conn = Conn.create fd in
-    Evloop.add st.loop ~read:false (Conn.fd conn);
-    (match Conn.send conn ~kind:kind_hello (id_payload st.cfg.id) with
-    | Ok () -> Evloop.set_write st.loop (Conn.fd conn) (Conn.pending_out conn > 0)
-    | Error msg -> failwith (Printf.sprintf "hello to peer %d failed: %s" j msg));
-    Hashtbl.replace st.out j conn;
-    log st "connected to peer %d at %s" j (Addr.to_string addr)
+    match link st j addr (attempt 0.01) with
+    | Ok () -> log st "connected to peer %d at %s" j (Addr.to_string addr)
+    | Error msg -> failwith (Printf.sprintf "hello to peer %d failed: %s" j msg)
 
   (* Flush a peer's staged/queued bytes and keep the event loop's write
      interest in sync with what remains.  In wall-clock mode a dead
@@ -362,19 +373,9 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
         (try Unix.close fd with Unix.Unix_error _ -> ());
         false
     | () -> (
-        (match addr with
-        | Addr.Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
-        | Addr.Unix_sock _ -> ());
-        let conn = Conn.create fd in
-        match Conn.send conn ~kind:kind_hello (id_payload st.cfg.id) with
-        | Error _ ->
-            Conn.close conn;
-            false
+        match link st j addr fd with
+        | Error _ -> false
         | Ok () ->
-            Evloop.add st.loop ~read:false (Conn.fd conn);
-            Evloop.set_write st.loop (Conn.fd conn)
-              (Conn.pending_out conn > 0);
-            Hashtbl.replace st.out j conn;
             Hashtbl.remove st.peer_done j;
             st.done_sent <- false;
             st.quiet <- 0;

@@ -14,26 +14,17 @@
     still converge within the round; the cost shows up as extra messages,
     hash metadata and hashing work. *)
 
-module type CONFIG = sig
-  val fanout : int
-  val depth : int
-end
-
-(** 4 levels of fanout 4: 256 leaf buckets. *)
-module Default_config = struct
-  let fanout = 4
-  let depth = 4
-end
-
-module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
+module Make (C : Protocol_intf.CRDT) :
   Protocol_intf.PROTOCOL with type crdt = C.t and type op = C.op = struct
   module Tree = Crdt_digest.Tree
 
   type crdt = C.t
   type op = C.op
 
-  let fanout = Cfg.fanout
-  let leaves = Tree.leaves ~fanout ~depth:Cfg.depth
+  (* 4 levels of fanout 4: 256 leaf buckets. *)
+  let fanout = 4
+  let depth = 4
+  let leaves = Tree.leaves ~fanout ~depth
 
   type node = {
     id : Crdt_core.Replica_id.t;
@@ -94,12 +85,12 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     List.iter (fun y -> b.(bucket_of y) <- y :: b.(bucket_of y)) (C.decompose x);
     b
 
-  (* Level-by-level digests: level d has fanout^d nodes; level Cfg.depth
+  (* Level-by-level digests: level d has fanout^d nodes; level [depth]
      holds the bucket hashes (order-independent within a bucket). *)
   let compute_tree x =
     let b = buckets x in
     let levels =
-      Tree.compute ~fanout ~depth:Cfg.depth
+      Tree.compute ~fanout ~depth
         (Array.map (fun elements -> Tree.bucket_hash (List.map hash_of elements)) b)
     in
     (levels, b)
@@ -144,7 +135,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
             let idx = index_of_path child_path in
             let local_hash = levels.(d + 1).(idx) in
             if local_hash <> remote_hash then
-              if d + 1 = Cfg.depth then
+              if d + 1 = depth then
                 replies :=
                   (src, Bucket { index = idx; elements = b.(idx); reply = false })
                   :: !replies
@@ -229,7 +220,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
      hashes. *)
   let tree_bytes =
     let rec total d acc width =
-      if d > Cfg.depth then acc else total (d + 1) (acc + width) (width * fanout)
+      if d > depth then acc else total (d + 1) (acc + width) (width * fanout)
     in
     8 * total 0 0 1
 

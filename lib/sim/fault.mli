@@ -54,10 +54,9 @@ val rng_active : plan -> bool
 (** Whether the plan consumes per-destination PRNG streams
     (duplicate/drop/shuffle). *)
 
-val structural : plan -> bool
-(** Whether the plan schedules partitions, delays or crashes. *)
-
 val active : plan -> bool
+(** Whether the plan injects any fault: a {!rng_active} class, a
+    partition, a delay or a crash. *)
 
 val unsupported :
   caps:Crdt_proto.Protocol_intf.capabilities -> plan -> string list

@@ -8,14 +8,11 @@
     exchange) are processed in waves until the network drains.
 
     The per-replica state machine (apply → tick → ship → handle →
-    crash/recover) lives in {!Crdt_engine.Driver}, and since the shard
-    scheduler moved into the engine the {e parallel execution} — the
-    Domain pool, tick-by-source / handle-by-destination partitioning,
-    per-shard counting sinks and the deterministic shard-order outbox
-    merge — lives in {!Crdt_engine.Shard}.  This module is the
-    simulator-specific transport on top of it: round structure,
-    topology routing and fault injection.  All accounting flows through
-    the shards' {!Crdt_engine.Trace} sinks — each round's shard total
+    crash/recover) lives in {!Crdt_engine.Driver}.  This module is the
+    simulator's transport around an array of drivers: round structure,
+    topology routing, fault injection and the parallel schedule on a
+    {!Crdt_engine.Pool}.  All accounting flows through per-shard
+    {!Crdt_engine.Trace} counting sinks — each round's shard-order total
     is its {!Metrics.round} record, and [run ?sink] can attach a user
     sink (e.g. the JSONL trace writer) on top.
 
@@ -41,17 +38,26 @@
     [(round, src, dst)]; a message released from a delay is delivered
     unconditionally (its fault checks ran when it was captured).
 
-    {2 Determinism}
+    {2 Parallel schedule and determinism}
 
+    The [domains] pool splits the nodes into shards: shard [s] of [w]
+    owns the contiguous node range [s·n/w, (s+1)·n/w) (high shards own
+    empty ranges when [w > n]), and each node's driver reports to its
+    owning shard's counting sink.  Ticks run by source and deliveries by
+    destination; a shard touches only its own nodes and buffers, and
+    what its nodes emit lands in its outbox.  Contiguity makes the
+    shard-order merge of the outboxes ([route]) equal to the ascending
+    producing-node order of a sequential loop, so per-destination
+    message order — and therefore every downstream PRNG draw, byte
+    count and delivered state — is independent of the pool width.
     Fault randomness is drawn from per-destination PRNG streams (seeded
-    from [fault_plan.seed] and the destination id), partition/delay/
-    crash decisions are deterministic in [(round, src, dst)], and the
-    shared scheduler merges per-shard output in shard order, so for a
-    fixed seed the parallel engine is bit-identical to the sequential
-    one at every [domains] setting.  Fault-free waves ride the engine's
-    own {!Crdt_engine.Shard.Make.deliver_wave}; runs with faults keep
-    the per-destination fault logic here, executed on the same pool via
-    [run_shards].
+    from [fault_plan.seed] and the destination id) and partition/delay/
+    crash decisions are deterministic in [(round, src, dst)].  Folded in
+    shard order, the per-shard tallies are bit-identical at every
+    [domains] setting.  Every wave, with a fault plan or without one,
+    goes through the one per-destination delivery ([deliver_dst]); with
+    an empty plan it hands each pending message to its destination's
+    driver.
 
     After the measured rounds, the runner performs quiescent
     synchronization rounds (no further operations) until all replicas
@@ -60,11 +66,10 @@
 
 module Trace = Crdt_engine.Trace
 module Dynbuf = Crdt_engine.Dynbuf
-module Pool = Crdt_engine.Shard.Pool
+module Pool = Crdt_engine.Pool
 
 module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
-  module Sh = Crdt_engine.Shard.Make (P)
-  module D = Sh.D
+  module D = Crdt_engine.Driver.Make (P)
 
   type result = {
     rounds : Metrics.round array;  (** one record per measured round. *)
@@ -95,11 +100,20 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
   type engine = {
     n : int;
     total_rounds : int;  (** measured rounds; the fault schedule ends here. *)
-    sh : Sh.t;  (** the shared sharded scheduler (drivers, pool, sinks). *)
+    pool : Pool.t;  (** one shard per pool slot. *)
+    drivers : D.t array;
+    inbox : (int * P.message) Dynbuf.t array;
+        (** per-destination [(src, msg)] pending this wave. *)
+    out : (int * (int * P.message)) Dynbuf.t array;
+        (** per-shard [(dst, (src, msg))] produced this wave, in
+            production order. *)
+    counters : Trace.counters array;  (** per-shard tallies. *)
+    sinks : Trace.sink array;
+        (** per-shard sink: the shard's counting sink, teed with the
+            user sink when one was supplied. *)
     faults : fault_plan;
     rng_faults : bool;
         (** whether duplicate/drop/shuffle consult the PRNG streams. *)
-    adversity : bool;  (** whether partitions/delays/crashes are scheduled. *)
     rngs : Random.State.t array;
         (** per-destination fault streams; [[||]] when no random fault is
             configured — that path never consults a PRNG. *)
@@ -117,6 +131,10 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
             the first wave without further fault checks. *)
     mutable now : int;  (** current round (measured and quiescent). *)
   }
+
+  (* Shard [s] owns the contiguous node range [lo s, hi s). *)
+  let lo eng s = s * eng.n / Pool.size eng.pool
+  let hi eng s = (s + 1) * eng.n / Pool.size eng.pool
 
   (* An active partition cuts src → d this round iff some partition
      window covers [now] and puts them on different islands. *)
@@ -143,14 +161,14 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
      transport's to make, so they are reported here; accepted messages
      go through the driver, which does the delivery accounting. *)
   let deliver_dst eng s d =
-    let inb = Sh.inbox eng.sh d in
+    let inb = eng.inbox.(d) in
     let rel = eng.released.(d) in
     let len = Dynbuf.length inb in
     let rlen = Dynbuf.length rel in
     if len > 0 || rlen > 0 then begin
-      let snk = Sh.sink eng.sh ~shard:s in
-      let out = Sh.outbox eng.sh ~shard:s in
-      let drv = Sh.driver eng.sh d in
+      let snk = eng.sinks.(s) in
+      let out = eng.out.(s) in
+      let drv = eng.drivers.(d) in
       let round = eng.now in
       let emit ~dest msg = Dynbuf.push out (dest, (d, msg)) in
       if D.down drv then begin
@@ -212,10 +230,41 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
       end
     end
 
-  let deliver_shard eng s =
-    for d = Sh.lo eng.sh s to Sh.hi eng.sh s - 1 do
-      deliver_dst eng s d
-    done
+  (* One wave, by destination: each shard delivers to its own nodes,
+     and their replies land in its outbox for the next wave. *)
+  let deliver eng =
+    Pool.run eng.pool (fun s ->
+        for d = lo eng s to hi eng s - 1 do
+          deliver_dst eng s d
+        done)
+
+  (* Tick phase, by source: each shard ticks its own nodes (a crashed
+     driver skips itself) and queues what they emit in its outbox. *)
+  let tick eng =
+    let round = eng.now in
+    Pool.run eng.pool (fun s ->
+        let out = eng.out.(s) in
+        for i = lo eng s to hi eng s - 1 do
+          D.tick eng.drivers.(i) ~round ~emit:(fun ~dest msg ->
+              Dynbuf.push out (dest, (i, msg)))
+        done)
+
+  (* Move every outbox entry to its destination's inbox, sequentially
+     and in shard order, so each inbox fills in producing-node order at
+     every pool width.  Returns whether anything is pending. *)
+  let route eng =
+    let any = ref false in
+    Array.iter
+      (fun out ->
+        if not (Dynbuf.is_empty out) then begin
+          any := true;
+          Dynbuf.iter
+            (fun (dst, payload) -> Dynbuf.push eng.inbox.(dst) payload)
+            out;
+          Dynbuf.clear out
+        end)
+      eng.out;
+    !any
 
   (* Round boundary: apply crash/recover events scheduled for [round]
      (recoveries first, so back-to-back windows on one node behave) and
@@ -227,8 +276,8 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
       List.iter
         (fun (i, ev) ->
           match ev with
-          | `Recover -> D.recover (Sh.driver eng.sh i) ~round
-          | `Crash -> D.crash (Sh.driver eng.sh i) ~round)
+          | `Recover -> D.recover eng.drivers.(i) ~round
+          | `Crash -> D.crash eng.drivers.(i) ~round)
         eng.events.(round);
     Array.iteri
       (fun d buf ->
@@ -247,32 +296,40 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
   (* One synchronization round: tick every live node, then drain the
      network wave by wave (each pool barrier separates waves).  The
      first wave also delivers the delay releases of this round, so it
-     must run even when ticking produced nothing.  Without faults the
-     waves are the engine's own; with faults the per-destination fault
-     logic above runs on the same pool. *)
+     must run even when ticking produced nothing. *)
   let sync_round eng =
-    Sh.tick eng.sh ~round:eng.now;
-    let deliver () =
-      if eng.rng_faults || eng.adversity then
-        Sh.run_shards eng.sh (deliver_shard eng)
-      else Sh.deliver_wave eng.sh ~round:eng.now
-    in
+    tick eng;
     let any_released =
       Array.exists (fun b -> not (Dynbuf.is_empty b)) eng.released
     in
-    if Sh.route eng.sh || any_released then deliver ();
-    while Sh.route eng.sh do
-      deliver ()
+    if route eng || any_released then deliver eng;
+    while route eng do
+      deliver eng
     done
 
-  (* Post-round memory snapshot (parallel per-shard sums); the shard
-     total is the round record. *)
+  (* Post-round memory snapshot (parallel per-shard sums into the
+     counters the last round's reset zeroed), then the shard-order sum
+     of the tallies is the round record.  [sync_rounds] is capped at 1:
+     each shard contributes 0 or 1, and a round either synchronized or
+     did not. *)
   let finish_round eng ~ops_applied : Metrics.round =
-    Sh.snapshot_memory eng.sh;
-    let c = Sh.total_counters eng.sh in
-    Sh.reset_counters eng.sh;
+    Pool.run eng.pool (fun s ->
+        let c = eng.counters.(s) in
+        for i = lo eng s to hi eng s - 1 do
+          let m = D.memory eng.drivers.(i) in
+          c.memory_weight <- c.memory_weight + m.weight;
+          c.memory_bytes <- c.memory_bytes + m.bytes;
+          c.metadata_memory_bytes <- c.metadata_memory_bytes + m.metadata_bytes
+        done);
+    let c = Trace.sum eng.counters in
+    c.sync_rounds <- min 1 c.sync_rounds;
+    Array.iter Trace.reset_counters eng.counters;
     c.ops_applied <- ops_applied;
     c
+
+  let all_equal ~equal eng =
+    let first = D.state eng.drivers.(0) in
+    Array.for_all (fun drv -> equal (D.state drv) first) eng.drivers
 
   (** Run a simulation.
 
@@ -306,7 +363,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     let exact_bytes = bytes = Metrics.Exact in
     Pool.with_pool domains (fun pool ->
         let rng_faults = Fault.rng_active faults in
-        let adversity = Fault.structural faults in
         let delay = Hashtbl.create (max 1 (List.length faults.delays)) in
         List.iter
           (fun (d : Fault.delay_rule) ->
@@ -320,18 +376,35 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
             events.(c.recover_round) <-
               (c.victim, `Recover) :: events.(c.recover_round))
           faults.crashes;
-        let sh =
-          Sh.create ?sink ~exact_bytes ~pool ~n
-            ~neighbors:(Topology.neighbors topology) ()
+        let counters = Array.init domains (fun _ -> Trace.make_counters ()) in
+        let sinks =
+          Array.map
+            (fun c ->
+              let counting = Trace.counting c in
+              match sink with
+              | None -> counting
+              | Some user -> Trace.tee counting user)
+            counters
+        in
+        (* Node [i] belongs to the shard [s] with [lo s <= i < hi s]. *)
+        let owner i = (((i + 1) * domains) - 1) / n in
+        let drivers =
+          Array.init n (fun i ->
+              D.create ~sink:sinks.(owner i) ~exact_bytes ~id:i
+                ~neighbors:(Topology.neighbors topology i) ~total:n ())
         in
         let eng =
           {
             n;
             total_rounds = rounds;
-            sh;
+            pool;
+            drivers;
+            inbox = Array.init n (fun _ -> Dynbuf.create ());
+            out = Array.init domains (fun _ -> Dynbuf.create ());
+            counters;
+            sinks;
             faults;
             rng_faults;
-            adversity;
             rngs =
               (if rng_faults then
                  Array.init n (fun d -> Random.State.make [| faults.seed; d |])
@@ -348,7 +421,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
             now = 0;
           }
         in
-        let drivers = Sh.drivers sh in
         let measured =
           Array.init rounds (fun round ->
               begin_round eng ~round;
@@ -373,14 +445,14 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
         let steps = ref 0 in
         while
           !steps < quiesce_limit
-          && ((!steps = 0 && late_events) || not (Sh.all_equal ~equal sh))
+          && ((!steps = 0 && late_events) || not (all_equal ~equal eng))
         do
           begin_round eng ~round:(rounds + !steps);
           incr steps;
           sync_round eng;
           quiesce := finish_round eng ~ops_applied:0 :: !quiesce
         done;
-        let converged = Sh.all_equal ~equal sh in
+        let converged = all_equal ~equal eng in
         if converged then
           Array.iter (fun drv -> D.finish drv ~round:(rounds + !steps)) drivers;
         {

@@ -219,7 +219,7 @@ let iblt_tests =
    one MD5.  The constant below was recorded when the stream was first
    captured — a mismatch means merkle's bytes moved. *)
 
-module Merkle_gset = Merkle_sync.Make (Gset.Of_int) (Merkle_sync.Default_config)
+module Merkle_gset = Merkle_sync.Make (Gset.Of_int)
 
 let harvest_merkle_stream () =
   let module P = Merkle_gset in

@@ -2,15 +2,16 @@
    setting produces results bit-identical to the sequential engine —
    same finals, same convergence verdict, same per-round metrics —
    including under duplicate / drop / shuffle plans and the structural
-   adversity layer (partitions, per-link delay, crash–restart).  Plans
-   are gated on each protocol's declared capabilities, mirroring what
-   Runner.run enforces.  Also unit-covers the engine's substrate (Pool,
-   Dynbuf). *)
+   adversity layer (partitions, per-link delay, crash–restart), and
+   under exact byte accounting, which sizes every delivered message on
+   the worker domains.  Plans are gated on each protocol's declared
+   capabilities, mirroring what Runner.run enforces.  Also unit-covers
+   the engine's substrate (Pool, Dynbuf). *)
 
 open Crdt_core
 open Crdt_sim
 module Workload = Crdt_engine.Workload
-module Pool = Crdt_engine.Shard.Pool
+module Pool = Crdt_engine.Pool
 module Dynbuf = Crdt_engine.Dynbuf
 
 let check = Alcotest.(check bool)
@@ -24,8 +25,8 @@ module Check (P : Crdt_proto.Protocol_intf.PROTOCOL
 struct
   module R = Runner.Make (P)
 
-  let go ~faults ~domains ~topology ~rounds =
-    R.run ~faults ~domains ~equal:Si.equal ~topology ~rounds
+  let go ?bytes ~faults ~domains ~topology ~rounds () =
+    R.run ~faults ~domains ?bytes ~equal:Si.equal ~topology ~rounds
       ~ops:(fun ~round ~node _ ->
         Workload.gset ~nodes:(Topology.size topology) ~round ~node ())
       ()
@@ -37,7 +38,8 @@ struct
     && a.R.quiesce_rounds = b.R.quiesce_rounds
 
   (* Compare sequential vs domains = 2 and 4 over several fault plans,
-     keeping only those the protocol declares tolerance for. *)
+     keeping only those the protocol declares tolerance for.  The plain
+     and the fullest plan also run under exact byte accounting. *)
   let cases name topology rounds =
     let n = Topology.size topology in
     let plans =
@@ -73,21 +75,36 @@ struct
       |> List.filter (fun (_, plan) ->
              Fault.supported ~caps:P.capabilities plan)
     in
+    let case plan_name faults ~bytes label =
+      Alcotest.test_case
+        (Printf.sprintf "%s, %s%s: domains 2/4 ≡ sequential" name plan_name
+           label)
+        `Quick
+        (fun () ->
+          let seq = go ~bytes ~faults ~domains:1 ~topology ~rounds () in
+          if bytes = Metrics.Exact then
+            check "wire bytes counted" true
+              (Array.exists
+                 (fun (r : Metrics.round) -> r.wire_bytes > 0)
+                 seq.R.rounds);
+          List.iter
+            (fun domains ->
+              let par = go ~bytes ~faults ~domains ~topology ~rounds () in
+              check
+                (Printf.sprintf "bit-identical at %d domains" domains)
+                true (same_result seq par))
+            [ 2; 4 ])
+    in
     List.map
       (fun (plan_name, faults) ->
-        Alcotest.test_case
-          (Printf.sprintf "%s, %s: domains 2/4 ≡ sequential" name plan_name)
-          `Quick
-          (fun () ->
-            let seq = go ~faults ~domains:1 ~topology ~rounds in
-            List.iter
-              (fun domains ->
-                let par = go ~faults ~domains ~topology ~rounds in
-                check
-                  (Printf.sprintf "bit-identical at %d domains" domains)
-                  true (same_result seq par))
-              [ 2; 4 ]))
+        case plan_name faults ~bytes:Metrics.Estimate "")
       plans
+    @ List.filter_map
+        (fun (plan_name, faults) ->
+          if List.mem plan_name [ "no faults"; "partition+delay+crash+shuffle" ]
+          then Some (case plan_name faults ~bytes:Metrics.Exact ", exact bytes")
+          else None)
+        plans
 end
 
 module C_bprr =
@@ -95,15 +112,18 @@ module C_bprr =
 module C_state = Check (Crdt_proto.State_sync.Make (Si))
 module C_sbgc =
   Check (Crdt_proto.Scuttlebutt.Make (Si) (Crdt_proto.Scuttlebutt.Gc_config))
-module C_merkle =
-  Check (Crdt_proto.Merkle_sync.Make (Si) (Crdt_proto.Merkle_sync.Default_config))
+module C_merkle = Check (Crdt_proto.Merkle_sync.Make (Si))
 
 (* More domains than nodes: high shards own empty ranges. *)
 let oversharded =
   Alcotest.test_case "more domains than nodes" `Quick (fun () ->
       let topology = Topology.ring 3 in
-      let seq = C_bprr.go ~faults:C_bprr.R.no_faults ~domains:1 ~topology ~rounds:4 in
-      let par = C_bprr.go ~faults:C_bprr.R.no_faults ~domains:6 ~topology ~rounds:4 in
+      let seq =
+        C_bprr.go ~faults:C_bprr.R.no_faults ~domains:1 ~topology ~rounds:4 ()
+      in
+      let par =
+        C_bprr.go ~faults:C_bprr.R.no_faults ~domains:6 ~topology ~rounds:4 ()
+      in
       check "identical" true (C_bprr.same_result seq par))
 
 let seeded_faults_determinism =
@@ -113,8 +133,8 @@ let seeded_faults_determinism =
       let faults =
         { C_bprr.R.no_faults with duplicate = 0.5; shuffle = true; seed = 99 }
       in
-      let a = C_bprr.go ~faults ~domains:3 ~topology ~rounds:5 in
-      let b = C_bprr.go ~faults ~domains:3 ~topology ~rounds:5 in
+      let a = C_bprr.go ~faults ~domains:3 ~topology ~rounds:5 () in
+      let b = C_bprr.go ~faults ~domains:3 ~topology ~rounds:5 () in
       check "identical" true (C_bprr.same_result a b))
 
 let ops_applied_counted =
@@ -122,7 +142,7 @@ let ops_applied_counted =
     (fun () ->
       let topology = Topology.ring 5 in
       let res =
-        C_bprr.go ~faults:C_bprr.R.no_faults ~domains:2 ~topology ~rounds:3
+        C_bprr.go ~faults:C_bprr.R.no_faults ~domains:2 ~topology ~rounds:3 ()
       in
       Array.iter
         (fun (r : Metrics.round) -> check_int "one op per node" 5 r.ops_applied)
@@ -133,98 +153,25 @@ let ops_applied_counted =
       check_int "summary total" 15
         (C_bprr.R.summary res).Metrics.totals.ops_applied)
 
-(* -- Shard.Make driven directly ----------------------------------------- *)
-
-(* The scheduler under the simulator's skin: tick / route / deliver_wave
-   / sync_round on a full mesh at pool widths 1, 2 and 4, with no
-   Runner on top.  Finals and the folded counters must be bit-identical
-   at every width — the same contract the Runner-level cases check, but
-   pinned at the layer serve and future transports consume. *)
-module Shard_direct = struct
-  module P = Crdt_proto.Delta_sync.Make (Si) (Crdt_proto.Delta_sync.Bp_rr_config)
-  module Sh = Crdt_engine.Shard.Make (P)
-
-  let run ~domains ~n ~rounds =
-    Pool.with_pool domains @@ fun pool ->
-    let neighbors i = List.filter (fun j -> j <> i) (List.init n Fun.id) in
-    let sh = Sh.create ~pool ~n ~neighbors () in
-    for round = 0 to rounds - 1 do
-      Array.iteri
-        (fun i drv ->
-          ignore (Sh.D.apply drv (Workload.gset ~nodes:n ~round ~node:i ())))
-        (Sh.drivers sh);
-      Sh.sync_round sh ~round
-    done;
-    Sh.snapshot_memory sh;
-    let finals = Array.init n (Sh.state sh) in
-    let c = Sh.total_counters sh in
-    (finals, c, Sh.all_equal ~equal:Si.equal sh)
-
-  let same_counters (a : Crdt_engine.Trace.counters)
-      (b : Crdt_engine.Trace.counters) =
-    a.sent = b.sent && a.delivered = b.delivered && a.messages = b.messages
-    && a.payload_bytes = b.payload_bytes
-    && a.metadata_bytes = b.metadata_bytes
-    && a.wire_bytes = b.wire_bytes
-    && a.ops_applied = b.ops_applied
-    && a.memory_weight = b.memory_weight
-    && a.memory_bytes = b.memory_bytes
-
-  let equivalence =
-    Alcotest.test_case "tick/route/deliver: widths 1/2/4 bit-identical"
-      `Quick (fun () ->
-        let n = 7 and rounds = 5 in
-        let f1, c1, conv1 = run ~domains:1 ~n ~rounds in
-        check "width 1 converged" true conv1;
-        List.iter
-          (fun domains ->
-            let fd, cd, convd = run ~domains ~n ~rounds in
-            check
-              (Printf.sprintf "width %d converged" domains)
-              true convd;
-            check
-              (Printf.sprintf "finals identical at width %d" domains)
-              true
-              (Array.for_all2 Si.equal f1 fd);
-            check
-              (Printf.sprintf "counters identical at width %d" domains)
-              true (same_counters c1 cd))
-          [ 2; 4 ])
-
-  (* One explicit wave walked by hand: tick fills the producing shards'
-     outboxes, route drains them into destination inboxes in shard
-     order, deliver_wave empties every inbox.  This pins the phase
-     boundaries the composite sync_round hides. *)
-  let phases =
-    Alcotest.test_case "tick -> route -> deliver_wave phase contract" `Quick
-      (fun () ->
-        Pool.with_pool 2 @@ fun pool ->
-        let n = 4 in
-        let neighbors i = List.filter (fun j -> j <> i) (List.init n Fun.id) in
-        let sh = Sh.create ~pool ~n ~neighbors () in
-        Array.iteri
-          (fun i drv ->
-            ignore (Sh.D.apply drv (Workload.gset ~nodes:n ~round:0 ~node:i ())))
-          (Sh.drivers sh);
-        Sh.tick sh ~round:0;
-        let produced = ref 0 in
-        for s = 0 to Sh.shards sh - 1 do
-          produced := !produced + Dynbuf.length (Sh.outbox sh ~shard:s)
-        done;
-        check "tick produced messages" true (!produced > 0);
-        check "route reports pending" true (Sh.route sh);
-        let pending = ref 0 in
-        for d = 0 to n - 1 do
-          pending := !pending + Dynbuf.length (Sh.inbox sh d)
-        done;
-        check_int "route moved every message" !produced !pending;
-        Sh.deliver_wave sh ~round:0;
-        let left = ref 0 in
-        for d = 0 to n - 1 do
-          left := !left + Dynbuf.length (Sh.inbox sh d)
-        done;
-        check_int "deliver_wave drained the inboxes" 0 !left)
-end
+(* A full mesh of 7 over 5 rounds: every node sends to every other, so
+   each wave's inboxes fill from every shard.  Finals, convergence and
+   every per-round record must match at pool widths 1, 2 and 4. *)
+let full_mesh =
+  Alcotest.test_case "n=7, 5 rounds: widths 1/2/4 bit-identical" `Quick
+    (fun () ->
+      let topology = Topology.full_mesh 7 in
+      let run domains =
+        C_bprr.go ~faults:C_bprr.R.no_faults ~domains ~topology ~rounds:5 ()
+      in
+      let seq = run 1 in
+      check "width 1 converged" true seq.C_bprr.R.converged;
+      List.iter
+        (fun domains ->
+          check
+            (Printf.sprintf "identical at width %d" domains)
+            true
+            (C_bprr.same_result seq (run domains)))
+        [ 2; 4 ])
 
 (* -- substrate: Pool ---------------------------------------------------- *)
 
@@ -323,7 +270,7 @@ let () =
       ("merkle", C_merkle.cases "merkle" (Topology.ring 5) 4);
       ( "edges",
         [ oversharded; seeded_faults_determinism; ops_applied_counted ] );
-      ("shard-direct", [ Shard_direct.equivalence; Shard_direct.phases ]);
+      ("full-mesh", [ full_mesh ]);
       ("pool", pool_tests);
       ("dynbuf", dynbuf_tests);
     ]

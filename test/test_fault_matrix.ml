@@ -33,7 +33,7 @@ module Ack = Crdt_proto.Delta_sync.Make (Si) (Crdt_proto.Delta_sync.Ack_config)
 module Sb = Crdt_proto.Scuttlebutt.Make (Si) (Crdt_proto.Scuttlebutt.No_gc_config)
 module SbGc = Crdt_proto.Scuttlebutt.Make (Si) (Crdt_proto.Scuttlebutt.Gc_config)
 module Op = Crdt_proto.Op_sync.Make (Si)
-module Merkle = Crdt_proto.Merkle_sync.Make (Si) (Crdt_proto.Merkle_sync.Default_config)
+module Merkle = Crdt_proto.Merkle_sync.Make (Si)
 
 module F (P : P_int) = struct
   module R = Runner.Make (P)

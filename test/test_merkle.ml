@@ -11,7 +11,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 module S = Gset.Of_string
-module P = Merkle_sync.Make (S) (Merkle_sync.Default_config)
+module P = Merkle_sync.Make (S)
 
 let behavioural =
   [
@@ -79,7 +79,7 @@ let behavioural =
   ]
 
 module Si = Gset.Of_int
-module Pi = Merkle_sync.Make (Si) (Merkle_sync.Default_config)
+module Pi = Merkle_sync.Make (Si)
 module R = Runner.Make (Pi)
 
 let convergence =

@@ -206,7 +206,7 @@ module Type_matrix (C : Crdt_core.Lattice_intf.CRDT) = struct
         go (module Delta_sync.Make (C) (Delta_sync.Classic_config));
         go (module Delta_sync.Make (C) (Delta_sync.Bp_rr_config));
         go (module Scuttlebutt.Make (C) (Scuttlebutt.Gc_config));
-        go (module Merkle_sync.Make (C) (Merkle_sync.Default_config)))
+        go (module Merkle_sync.Make (C)))
 end
 
 module Pn_matrix = Type_matrix (Pncounter)
@@ -465,8 +465,7 @@ let fault_tests =
         check "converged" true res.F_sb.converged);
     Alcotest.test_case "merkle tolerates message loss (digest-driven)"
       `Quick (fun () ->
-        let module Fm =
-          Runner.Make (Merkle_sync.Make (Si) (Merkle_sync.Default_config)) in
+        let module Fm = Runner.Make (Merkle_sync.Make (Si)) in
         let topo = Topology.ring 6 in
         let faults =
           { Fm.no_faults with drop = 0.25; seed = 22 }

@@ -525,7 +525,7 @@ module Msg_op =
 
 module Msg_merkle =
   Proto_messages
-    (Merkle_sync.Make (Gset.Of_int) (Merkle_sync.Default_config))
+    (Merkle_sync.Make (Gset.Of_int))
     (struct
       let name = "merkle/GSet"
       let ops_at = gset_ops
