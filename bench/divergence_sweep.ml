@@ -59,24 +59,14 @@ type cluster_row = {
 (* -- the two-replica divergence cell ------------------------------------ *)
 
 module Pair (C : Crdt_proto.Protocol_intf.CRDT) = struct
-  module type PROTO =
-    Crdt_proto.Protocol_intf.PROTOCOL
-      with type crdt = C.t
-       and type op = C.op
-
-  let proto name : (module PROTO) =
-    Registry.instantiate
-      (Registry.find_protocol name)
-      (module C : Crdt_proto.Protocol_intf.CRDT
-        with type t = C.t
-         and type op = C.op)
+  module Protocols = Registry.For (C)
 
   (* Seed both replicas with [seed_ops] (applied at 0, synced across),
      apply the disjoint gap ops while discarding all traffic, restart
      replica 1 at the heal boundary, then count delivered wire bytes
      until the states are equal again. *)
-  let measure (module P : PROTO) ~crdt ~ratio ~seeded ~diff ~seed_ops ~gap0
-      ~gap1 =
+  let measure (module P : Protocols.S) ~crdt ~ratio ~seeded ~diff ~seed_ops
+      ~gap0 ~gap1 =
     let module D = Crdt_engine.Driver.Make (P) in
     let counters = Trace.make_counters () in
     let sink = Trace.counting counters in
@@ -165,7 +155,8 @@ let ident i = ((i * 0x2545F4914F6CDD1D) + 0x123456789ABCDEF) land max_int
 
 let gset_cell ~seeded ~ratio protocol =
   let d, d0, d1 = split ~seeded ratio in
-  P_gset.measure (P_gset.proto protocol) ~crdt:"gset" ~ratio ~seeded ~diff:d
+  P_gset.measure (P_gset.Protocols.find protocol) ~crdt:"gset" ~ratio ~seeded
+    ~diff:d
     ~seed_ops:(List.init seeded ident)
     ~gap0:(List.init d0 (fun i -> ident (1_000_000 + i)))
     ~gap1:(List.init d1 (fun i -> ident (2_000_000 + i)))
@@ -173,7 +164,8 @@ let gset_cell ~seeded ~ratio protocol =
 let gmap_cell ~seeded ~ratio protocol =
   let d, d0, d1 = split ~seeded ratio in
   let bump k = Gmap.Versioned.Apply (ident k, Version.Bump) in
-  P_gmap.measure (P_gmap.proto protocol) ~crdt:"gmap" ~ratio ~seeded ~diff:d
+  P_gmap.measure (P_gmap.Protocols.find protocol) ~crdt:"gmap" ~ratio ~seeded
+    ~diff:d
     ~seed_ops:(List.init seeded bump)
     ~gap0:(List.init d0 (fun i -> bump (1_000_000 + i)))
     ~gap1:(List.init d1 (fun i -> bump (2_000_000 + i)))
@@ -198,13 +190,7 @@ let cluster_protocols =
 
 let cluster_cell ~nodes ~rounds protocol =
   let module C = Gset.Of_int in
-  let module P =
-    (val Registry.instantiate
-           (Registry.find_protocol protocol)
-           (module C : Crdt_proto.Protocol_intf.CRDT
-             with type t = C.t
-              and type op = C.op))
-  in
+  let module P = (val P_gset.Protocols.find protocol) in
   let module R = Runner.Make (P) in
   let half = List.init (nodes / 2) (fun i -> i) in
   let rest = List.init (nodes - (nodes / 2)) (fun i -> (nodes / 2) + i) in

@@ -175,16 +175,10 @@ let fig1 scale =
   let topo = Topology.partial_mesh scale.nodes in
   let ops = gset_ops scale.nodes in
   (* Per-round series need raw runner access. *)
-  let proto name =
-    Crdt_engine.Registry.instantiate
-      (Crdt_engine.Registry.find_protocol name)
-      (module Gset.Of_int : Crdt_proto.Protocol_intf.CRDT
-        with type t = Gset.Of_int.t
-         and type op = Gset.Of_int.op)
-  in
-  let module Ps = (val proto "state-based") in
-  let module Pc = (val proto "delta-classic") in
-  let module Pb = (val proto "delta-bp+rr") in
+  let module Protocols = Crdt_engine.Registry.For (Gset.Of_int) in
+  let module Ps = (val Protocols.find "state-based") in
+  let module Pc = (val Protocols.find "delta-classic") in
+  let module Pb = (val Protocols.find "delta-bp+rr") in
   let module Rs = Runner.Make (Ps) in
   let module Rc = Runner.Make (Pc) in
   let module Rb = Runner.Make (Pb) in
@@ -290,7 +284,7 @@ let fig7 scale =
           ~ops:(gset_ops scale.nodes) ()
       in
       check_converged run_gset;
-      let base = H_gset.baseline run_gset in
+      let base = Harness.baseline run_gset in
       Report.note "GSet / %s topology:" (Topology.name topo);
       Report.table
         ~header:[ "protocol"; "elements sent"; "ratio vs bp+rr" ]
@@ -299,7 +293,7 @@ let fig7 scale =
         H_gcounter.run ~topology:topo ~rounds:scale.rounds ~ops:gcounter_ops ()
       in
       check_converged run_gc;
-      let base = H_gcounter.baseline run_gc in
+      let base = Harness.baseline run_gc in
       Report.note "";
       Report.note "GCounter / %s topology:" (Topology.name topo);
       Report.table
@@ -327,7 +321,7 @@ let fig8 scale =
               ()
           in
           check_converged run;
-          let base = H_gmap.baseline run in
+          let base = Harness.baseline run in
           Report.note "GMap %d%% / %s topology:" k (Topology.name topo);
           Report.table
             ~header:[ "protocol"; "entries sent"; "ratio vs bp+rr" ]
@@ -388,11 +382,7 @@ let fig10 scale =
   let mem (o : Harness.outcome) = o.full.Metrics.avg_memory_weight in
   let report name run =
     check_converged run;
-    let base =
-      match List.find_opt (fun (o : Harness.outcome) -> o.protocol = "delta-bp+rr") run with
-      | Some b -> b
-      | None -> assert false
-    in
+    let base = Harness.baseline run in
     Report.note "%s:" name;
     Report.table
       ~header:[ "protocol"; "avg resident elements"; "ratio vs bp+rr" ]
@@ -428,14 +418,21 @@ let table2 scale =
     Crdt_retwis.Workload.make ~seed:99 ~users:scale.retwis_users
       ~coefficient:1.0
   in
-  (* Drive the generator against an evolving store so posts fan out. *)
-  let db = ref Crdt_retwis.Store.bottom in
+  (* Drive the generator against an evolving per-user table so posts
+     fan out. *)
+  let module U = Crdt_retwis.User_state in
+  let users = Hashtbl.create 64 in
+  let find user =
+    Option.value (Hashtbl.find_opt users user) ~default:U.bottom
+  in
   let i0 = Replica_id.of_int 0 in
   for round = 0 to 5000 do
     List.iter
-      (fun (Crdt_retwis.Store.Apply (k, op)) ->
-        db := Crdt_retwis.Store.apply k op i0 !db)
-      (Crdt_retwis.Workload.ops wl ~round ~node:0 !db)
+      (fun (user, op) ->
+        Hashtbl.replace users user (U.mutate op i0 (find user)))
+      (Crdt_retwis.Workload.raw_ops wl ~round ~node:0
+         ~followers_of:(fun user -> U.followers (find user))
+         ~timeline_of:(fun user -> ignore (U.recent_timeline (find user))))
   done;
   let follows, posts, reads, updates_per_post = Crdt_retwis.Workload.mix wl in
   Report.table

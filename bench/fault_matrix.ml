@@ -18,25 +18,17 @@ open Crdt_sim
 module Workload = Crdt_engine.Workload
 
 module Si = Gset.Of_int
-
-module type P_int =
-  Crdt_proto.Protocol_intf.PROTOCOL with type crdt = Si.t and type op = int
+module Protocols = Crdt_engine.Registry.For (Si)
 
 (* Every registered protocol except the redundant delta variants:
    classic/BP/RR share BP+RR's (absent) fault tolerance, so they would
    only repeat its unsupported cells. *)
-let protocols : (string * (module P_int)) list =
+let protocols : (string * Protocols.t) list =
   List.filter_map
     (fun maker ->
       let name = Crdt_engine.Registry.protocol_name maker in
       if List.mem name [ "delta-classic"; "delta-bp"; "delta-rr" ] then None
-      else
-        Some
-          ( name,
-            Crdt_engine.Registry.instantiate maker
-              (module Si : Crdt_proto.Protocol_intf.CRDT
-                with type t = Si.t
-                 and type op = Si.op) ))
+      else Some (name, Protocols.make maker))
     Crdt_engine.Registry.protocols
 
 (* One fault cell = a plan builder parameterized on nodes/rounds so the
@@ -106,7 +98,8 @@ type cell = {
   partitioned : int;
 }
 
-let run_cell (module P : P_int) ~name ~fault_name ~faults ~topology ~rounds =
+let run_cell (module P : Protocols.S) ~name ~fault_name ~faults ~topology
+    ~rounds =
   let module R = Runner.Make (P) in
   let nodes = Topology.size topology in
   if not (Fault.supported ~caps:P.capabilities faults) then

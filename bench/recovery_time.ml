@@ -57,21 +57,11 @@ let remove_dir dir =
   end
 
 module Cell (C : Crdt_proto.Protocol_intf.CRDT) = struct
-  module type PROTO =
-    Crdt_proto.Protocol_intf.PROTOCOL
-      with type crdt = C.t
-       and type op = C.op
-
-  let proto name : (module PROTO) =
-    Registry.instantiate
-      (Registry.find_protocol name)
-      (module C : Crdt_proto.Protocol_intf.CRDT
-        with type t = C.t
-         and type op = C.op)
+  module Protocols = Registry.For (C)
 
   module Image = Store.Image (C)
 
-  let measure (module P : PROTO) ~crdt ~ops ~checkpoint_every ~op_of_i =
+  let measure (module P : Protocols.S) ~crdt ~ops ~checkpoint_every ~op_of_i =
     let module D = Crdt_engine.Driver.Make (P) in
     let dir = fresh_dir () in
     remove_dir dir;
@@ -122,12 +112,12 @@ let protocols = [ "delta-bp+rr"; "conflict-sync" ]
 let ident i = ((i * 0x2545F4914F6CDD1D) + 0x123456789ABCDEF) land max_int
 
 let gset_row ~ops ~checkpoint_every protocol =
-  C_gset.measure (C_gset.proto protocol) ~crdt:"gset" ~ops ~checkpoint_every
-    ~op_of_i:ident
+  C_gset.measure (C_gset.Protocols.find protocol) ~crdt:"gset" ~ops
+    ~checkpoint_every ~op_of_i:ident
 
 let gmap_row ~ops ~checkpoint_every protocol =
-  C_gmap.measure (C_gmap.proto protocol) ~crdt:"gmap" ~ops ~checkpoint_every
-    ~op_of_i:(fun i -> Gmap.Versioned.Apply (ident i, Version.Bump))
+  C_gmap.measure (C_gmap.Protocols.find protocol) ~crdt:"gmap" ~ops
+    ~checkpoint_every ~op_of_i:(fun i -> Gmap.Versioned.Apply (ident i, Version.Bump))
 
 let sweep ~sizes ~intervals =
   List.concat_map

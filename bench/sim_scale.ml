@@ -51,19 +51,9 @@ type row = {
 }
 
 module Sweep (C : Crdt_proto.Protocol_intf.CRDT) = struct
-  module type PROTO =
-    Crdt_proto.Protocol_intf.PROTOCOL
-      with type crdt = C.t
-       and type op = C.op
+  module Protocols = Crdt_engine.Registry.For (C)
 
-  let proto name : (module PROTO) =
-    Crdt_engine.Registry.instantiate
-      (Crdt_engine.Registry.find_protocol name)
-      (module C : Crdt_proto.Protocol_intf.CRDT
-        with type t = C.t
-         and type op = C.op)
-
-  let measure (module P : PROTO) ~crdt ~topology ~rounds ~gen_ops
+  let measure (module P : Protocols.S) ~crdt ~topology ~rounds ~gen_ops
       ~domain_counts ~samples =
     let module R = Runner.Make (P) in
     let ops ~round ~node _state = gen_ops ~round ~node in
@@ -96,8 +86,8 @@ module Sweep (C : Crdt_proto.Protocol_intf.CRDT) = struct
 
   let measure_all ~crdt ~topology ~rounds ~gen_ops ~domain_counts ~samples =
     let m name =
-      measure (proto name) ~crdt ~topology ~rounds ~gen_ops ~domain_counts
-        ~samples
+      measure (Protocols.find name) ~crdt ~topology ~rounds ~gen_ops
+        ~domain_counts ~samples
     in
     [ m "delta-classic"; m "delta-bp+rr" ]
 end

@@ -34,19 +34,9 @@ type row = {
 }
 
 module Sweep (C : Crdt_proto.Protocol_intf.CRDT) = struct
-  module type PROTO =
-    Crdt_proto.Protocol_intf.PROTOCOL
-      with type crdt = C.t
-       and type op = C.op
+  module Protocols = Crdt_engine.Registry.For (C)
 
-  let proto name : (module PROTO) =
-    Crdt_engine.Registry.instantiate
-      (Crdt_engine.Registry.find_protocol name)
-      (module C : Crdt_proto.Protocol_intf.CRDT
-        with type t = C.t
-         and type op = C.op)
-
-  let measure (module P : PROTO) ~crdt ~topology ~rounds ~gen_ops =
+  let measure (module P : Protocols.S) ~crdt ~topology ~rounds ~gen_ops =
     let module R = Runner.Make (P) in
     let res =
       R.run ~bytes:Metrics.Exact ~equal:C.equal ~topology ~rounds
@@ -68,7 +58,8 @@ module Sweep (C : Crdt_proto.Protocol_intf.CRDT) = struct
 
   let measure_all ~crdt ~topology ~rounds ~gen_ops =
     List.map
-      (fun name -> measure (proto name) ~crdt ~topology ~rounds ~gen_ops)
+      (fun name ->
+        measure (Protocols.find name) ~crdt ~topology ~rounds ~gen_ops)
       [ "state-based"; "delta-classic"; "delta-bp+rr" ]
 end
 

@@ -18,8 +18,7 @@
    Protocol and CRDT dispatch goes through Crdt_engine.Registry: micro
    runs the harness's default lineup (every registered protocol but the
    ack-mode one, which joins under a fault plan), serve accepts any
-   registered protocol × CRDT cell (minus the registry's declared
-   exclusions).
+   registered protocol × CRDT cell.
 
    Fault flags build a Crdt_sim.Fault.plan; protocols whose declared
    capabilities do not cover the plan are skipped (micro) or rejected
@@ -250,15 +249,7 @@ let with_trace_sink path f =
 (* -- micro -------------------------------------------------------------- *)
 
 let print_outcomes ~accounting outcomes =
-  let baseline =
-    let find name =
-      List.find_opt (fun (o : Harness.outcome) -> o.protocol = name) outcomes
-    in
-    match (find "delta-bp+rr", find "delta-bp+rr-ack", outcomes) with
-    | Some o, _, _ | None, Some o, _ | None, None, o :: _ -> o
-    | None, None, [] -> invalid_arg "no protocol selected"
-  in
-  let base = Metrics.total_transmission baseline.summary in
+  let base = Metrics.total_transmission (Harness.baseline outcomes).summary in
   Printf.printf "byte accounting: %s\n"
     (Metrics.accounting_name accounting);
   Printf.printf "%-17s %14s %8s %14s %14s\n" "protocol" "tx (elements)"
@@ -326,9 +317,8 @@ let run_micro crdt topology nodes rounds k domains faults bytes trace_out
     (* An explicit --protocol list names the lineup exactly (validated
        against the registry); otherwise the default lineup runs, and
        under an active fault plan the ack-mode δ-buffer joins it — the
-       delta variant built for lossy channels.  Registry exclusions
-       (cells that are not meaningful) come off, and capability masking
-       drops what the plan overwhelms. *)
+       delta variant built for lossy channels.  Capability masking drops
+       what the plan overwhelms. *)
     let lineup =
       match only_protocols with
       | [] when Fault.active faults ->
@@ -336,10 +326,7 @@ let run_micro crdt topology nodes rounds k domains faults bytes trace_out
       | [] -> Harness.default_protocols
       | names -> names
     in
-    let selection, skipped =
-      H.mask_unsupported faults
-        (List.filter (fun name -> Option.is_none (S.excluded name)) lineup)
-    in
+    let selection, skipped = H.mask_unsupported faults lineup in
     report_skipped skipped;
     let outcomes =
       with_trace_sink trace_out (fun sink ->
@@ -491,18 +478,8 @@ let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
     trace_out verbose =
   try
     let module S = (val Registry.find_crdt crdt) in
-    (match S.excluded protocol with
-    | Some reason ->
-        invalid_arg
-          (Printf.sprintf "%s cannot run %s: %s" crdt protocol reason)
-    | None -> ());
-    let maker = Registry.find_protocol protocol in
-    let module P =
-      (val Registry.instantiate maker
-             (module S.C : Crdt_proto.Protocol_intf.CRDT
-               with type t = S.C.t
-                and type op = S.C.op))
-    in
+    let module Protocols = Registry.For (S.C) in
+    let module P = (val Protocols.find protocol) in
     let module R = Crdt_net.Runtime.Make (P) in
     let listen = Crdt_net.Addr.parse_exn listen in
     let peers = List.map parse_peer peers in

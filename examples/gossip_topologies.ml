@@ -20,7 +20,7 @@ let experiment topo =
       ~ops:(fun ~round ~node state -> Workload.gset ~nodes ~round ~node state)
       ()
   in
-  let baseline = H.baseline outcomes in
+  let baseline = Harness.baseline outcomes in
   let b = Metrics.total_transmission baseline.Harness.summary in
   List.iter
     (fun (o : Harness.outcome) ->

@@ -38,32 +38,14 @@ type report = {
 
 let cells () =
   List.concat_map
-    (fun proto ->
-      let pname = Registry.protocol_name proto in
-      List.filter_map
-        (fun spec ->
-          let module S = (val spec : Registry.CRDT_SPEC) in
-          match S.excluded pname with
-          | None -> Some (pname, S.name)
-          | Some _ -> None)
-        Registry.crdts)
-    Registry.protocols
+    (fun pname -> List.map (fun cname -> (pname, cname)) Registry.crdt_names)
+    Registry.protocol_names
 
 let check_cell cfg ~proto ~crdt =
   let maker = Registry.find_protocol proto in
-  let spec = Registry.find_crdt crdt in
-  let module S = (val spec) in
-  (match S.excluded proto with
-  | Some reason ->
-      invalid_arg
-        (Printf.sprintf "cell %s x %s is excluded: %s" proto crdt reason)
-  | None -> ());
-  let module P =
-    (val Registry.instantiate maker
-           (module S.C : Crdt_proto.Protocol_intf.CRDT
-             with type t = S.C.t
-              and type op = S.C.op))
-  in
+  let module S = (val Registry.find_crdt crdt) in
+  let module Protocols = Registry.For (S.C) in
+  let module P = (val Protocols.make maker) in
   let module K = Checker.Make (S.C) (P) in
   let ops ~node ~index state = S.serve_ops ~id:node ~tick:index state in
   let mk_failure checker_cfg (sched, (v : Checker.violation)) =
@@ -109,19 +91,9 @@ let check_cell cfg ~proto ~crdt =
 
 let replay checker_cfg ~proto ~crdt ~schedule =
   let maker = Registry.find_protocol proto in
-  let spec = Registry.find_crdt crdt in
-  let module S = (val spec) in
-  (match S.excluded proto with
-  | Some reason ->
-      invalid_arg
-        (Printf.sprintf "cell %s x %s is excluded: %s" proto crdt reason)
-  | None -> ());
-  let module P =
-    (val Registry.instantiate maker
-           (module S.C : Crdt_proto.Protocol_intf.CRDT
-             with type t = S.C.t
-              and type op = S.C.op))
-  in
+  let module S = (val Registry.find_crdt crdt) in
+  let module Protocols = Registry.For (S.C) in
+  let module P = (val Protocols.make maker) in
   let module K = Checker.Make (S.C) (P) in
   let ops ~node ~index state = S.serve_ops ~id:node ~tick:index state in
   K.run checker_cfg ~ops (Schedule.of_string schedule)

@@ -36,13 +36,13 @@ type report = {
 }
 
 val cells : unit -> (string * string) list
-(** Every non-excluded (protocol, crdt) pair of the registry, protocols
-    in reporting order. *)
+(** Every (protocol, crdt) pair of the registry: protocols in reporting
+    order, each crossed with every CRDT in registry order. *)
 
 val check_cell : tier_cfg -> proto:string -> crdt:string -> report
 (** Run the exhaustive tier then (if no violation and [walks > 0]) the
     random tier; a violation is shrunk before reporting.
-    @raise Invalid_argument on unknown names or an excluded cell. *)
+    @raise Invalid_argument on unknown names. *)
 
 val replay :
   Checker.config ->
@@ -51,5 +51,5 @@ val replay :
   schedule:string ->
   Checker.violation option
 (** Re-execute one schedule (as printed in a {!failure}) against a fresh
-    cell. @raise Invalid_argument on unknown names, an excluded cell or
-    a malformed schedule. *)
+    cell. @raise Invalid_argument on unknown names or a malformed
+    schedule. *)

@@ -5,7 +5,6 @@ open Crdt_proto
 
 module type PROTO_MAKER = sig
   val name : string
-  val doc : string
 
   module Make (C : Protocol_intf.CRDT) :
     Protocol_intf.PROTOCOL with type crdt = C.t and type op = C.op
@@ -17,77 +16,70 @@ let protocols : proto list =
   [
     (module struct
       let name = "state-based"
-      let doc = "ship the full state to a neighbor every interval"
 
       module Make (C : Protocol_intf.CRDT) = State_sync.Make (C)
     end);
     (module struct
+      (* Algorithm 1 without BP or RR. *)
       let name = "delta-classic"
-      let doc = "delta-buffer synchronization, no optimization (Algorithm 1)"
 
       module Make (C : Protocol_intf.CRDT) =
         Delta_sync.Make (C) (Delta_sync.Classic_config)
     end);
     (module struct
       let name = "delta-bp"
-      let doc = "delta buffers with back-propagation of delta-groups"
 
       module Make (C : Protocol_intf.CRDT) =
         Delta_sync.Make (C) (Delta_sync.Bp_config)
     end);
     (module struct
       let name = "delta-rr"
-      let doc = "delta buffers with removal of redundant state"
 
       module Make (C : Protocol_intf.CRDT) =
         Delta_sync.Make (C) (Delta_sync.Rr_config)
     end);
     (module struct
       let name = "delta-bp+rr"
-      let doc = "delta buffers with both optimizations (the paper's best)"
 
       module Make (C : Protocol_intf.CRDT) =
         Delta_sync.Make (C) (Delta_sync.Bp_rr_config)
     end);
     (module struct
+      (* BP+RR with the ack-based buffer that survives loss. *)
       let name = "delta-bp+rr-ack"
-      let doc = "BP+RR with the ack-based buffer that survives loss"
 
       module Make (C : Protocol_intf.CRDT) =
         Delta_sync.Make (C) (Delta_sync.Ack_config)
     end);
     (module struct
       let name = "scuttlebutt"
-      let doc = "digest/pairs anti-entropy over per-replica version vectors"
 
       module Make (C : Protocol_intf.CRDT) =
         Scuttlebutt.Make (C) (Scuttlebutt.No_gc_config)
     end);
     (module struct
+      (* Scuttlebutt with safe pair garbage collection. *)
       let name = "scuttlebutt-gc"
-      let doc = "scuttlebutt with safe pair garbage collection"
 
       module Make (C : Protocol_intf.CRDT) =
         Scuttlebutt.Make (C) (Scuttlebutt.Gc_config)
     end);
     (module struct
+      (* Causal broadcast of operations (reliable channels only). *)
       let name = "op-based"
-      let doc = "causal broadcast of operations (reliable channels only)"
 
       module Make (C : Protocol_intf.CRDT) = Op_sync.Make (C)
     end);
     (module struct
+      (* Hash-tree anti-entropy, the related-work baseline. *)
       let name = "merkle"
-      let doc = "hash-tree anti-entropy (related-work baseline)"
 
       module Make (C : Protocol_intf.CRDT) = Merkle_sync.Make (C)
     end);
     (module struct
+      (* Delta steady state plus Bloom/rateless-IBLT digest
+         reconciliation of divergent state. *)
       let name = "conflict-sync"
-
-      let doc =
-        "delta steady state + Bloom/rateless-IBLT digest reconciliation \
-         of divergent state (ConflictSync)"
 
       module Make (C : Protocol_intf.CRDT) =
         Conflict_sync.Make (C) (Conflict_sync.Default_config)
@@ -97,10 +89,6 @@ let protocols : proto list =
 let protocol_name (p : proto) =
   let module M = (val p) in
   M.name
-
-let protocol_doc (p : proto) =
-  let module M = (val p) in
-  M.doc
 
 let protocol_names = List.map protocol_name protocols
 
@@ -114,25 +102,20 @@ let find_protocol name =
         (Printf.sprintf "unknown protocol %S (known: %s)" name
            (String.concat ", " protocol_names))
 
-(* Capabilities are a per-configuration constant of the protocol functor,
-   so any instantiation reads them; GCounter is the cheapest lattice in
-   the catalogue. *)
-let capabilities (p : proto) =
-  let module M = (val p) in
-  let module P = M.Make (Gcounter) in
-  P.capabilities
+module For (C : Protocol_intf.CRDT) = struct
+  module type S =
+    Protocol_intf.PROTOCOL with type crdt = C.t and type op = C.op
 
-let instantiate (type a b) ((module M) : proto)
-    ((module C) : (module Protocol_intf.CRDT with type t = a and type op = b))
-    : (module Protocol_intf.PROTOCOL with type crdt = a and type op = b) =
-  (module M.Make (C))
+  type t = (module S)
+
+  let make ((module M) : proto) : t = (module M.Make (C))
+  let find name = make (find_protocol name)
+end
 
 module type CRDT_SPEC = sig
   module C : Protocol_intf.CRDT
 
   val name : string
-  val doc : string
-  val excluded : string -> string option
 
   val micro_ops :
     nodes:int -> k:int -> round:int -> node:int -> C.t -> C.op list
@@ -148,8 +131,6 @@ let crdts : crdt_spec list =
       module C = Gset.Of_int
 
       let name = "gset"
-      let doc = "grow-only integer set; one globally unique add per event"
-      let excluded _ = None
 
       let micro_ops ~nodes ~k:_ ~round ~node state =
         Workload.gset ~nodes ~round ~node state
@@ -162,8 +143,6 @@ let crdts : crdt_spec list =
       module C = Gcounter
 
       let name = "gcounter"
-      let doc = "grow-only counter; one increment per event"
-      let excluded _ = None
 
       let micro_ops ~nodes:_ ~k:_ ~round ~node state =
         Workload.gcounter ~round ~node state
@@ -173,9 +152,8 @@ let crdts : crdt_spec list =
     (module struct
       module C = Gmap.Versioned
 
+      (* Version counters under K% of the keys per interval. *)
       let name = "gmap"
-      let doc = "grow-only map of version counters; K% of keys per interval"
-      let excluded _ = None
 
       let micro_ops ~nodes ~k ~round ~node state =
         Workload.gmap ~total_keys:Workload.Defaults.total_keys ~k ~nodes
@@ -190,8 +168,6 @@ let crdts : crdt_spec list =
       module C = Aw_set.Of_int
 
       let name = "orset"
-      let doc = "add-wins OR-Set; unique adds plus observed removes"
-      let excluded _ = None
 
       (* Unique adds plus an observed remove every third round at node 0,
          targeting node 0's OWN element from three rounds earlier.  The

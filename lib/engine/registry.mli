@@ -1,29 +1,27 @@
 (** First-class protocol × CRDT registry.
 
     The single place where "a protocol name" and "a CRDT name" become
-    modules: every driver (CLI micro and serve, harness, benches, tests)
-    dispatches through {!find_protocol}/{!find_crdt} and
-    {!instantiate} instead of keeping its own [match]-ladder, so adding a
+    modules: every driver (CLI micro and serve, harness, checker,
+    benches, tests) dispatches through {!find_protocol}/{!find_crdt} and
+    {!For} instead of keeping its own [match]-ladder, so adding a
     protocol variant or a benchmark data type is a one-line change here
     and every layer picks it up.
 
     Protocols are packed {e constructors} ({!PROTO_MAKER}): a name plus a
     functor from a CRDT to a {!Crdt_proto.Protocol_intf.PROTOCOL}, since
-    a protocol instance only exists for a concrete lattice.  CRDTs are
-    packed modules with their registry metadata: the Table I micro
-    workload, the deterministic serve workload, and per-protocol
-    exclusions for cells that are not meaningful.  Workloads are
-    deterministic functions of (round, node) — they never read the
-    replica's delivered state — so every protocol, op-based replay
-    included, performs the same operation sequence. *)
+    a protocol instance only exists for a concrete lattice; {!For}
+    applies them to one.  CRDTs are packed modules with their two
+    workloads: the Table I micro workload and the deterministic serve
+    workload.  Workloads are deterministic functions of (round, node) —
+    they never read the replica's delivered state — so every protocol,
+    op-based replay included, performs the same operation sequence, and
+    every protocol × CRDT cell is live. *)
 
 (** A named protocol constructor. *)
 module type PROTO_MAKER = sig
   val name : string
   (** Must equal [protocol_name] of every instance (checked by
       [test_registry]). *)
-
-  val doc : string
 
   module Make (C : Crdt_proto.Protocol_intf.CRDT) :
     Crdt_proto.Protocol_intf.PROTOCOL with type crdt = C.t and type op = C.op
@@ -42,29 +40,26 @@ val find_protocol : string -> proto
 (** @raise Invalid_argument on an unknown name, listing the known ones. *)
 
 val protocol_name : proto -> string
-val protocol_doc : proto -> string
 
-val capabilities : proto -> Crdt_proto.Protocol_intf.capabilities
-(** Declared fault capabilities of the protocol (independent of the
-    CRDT it is instantiated with). *)
+(** The registered protocols, each instantiated for the CRDT [C]. *)
+module For (C : Crdt_proto.Protocol_intf.CRDT) : sig
+  module type S =
+    Crdt_proto.Protocol_intf.PROTOCOL with type crdt = C.t and type op = C.op
 
-val instantiate :
-  proto ->
-  (module Crdt_proto.Protocol_intf.CRDT with type t = 'a and type op = 'b) ->
-  (module Crdt_proto.Protocol_intf.PROTOCOL
-     with type crdt = 'a
-      and type op = 'b)
+  type t = (module S)
 
-(** A benchmark CRDT with its registry metadata. *)
+  val make : proto -> t
+
+  val find : string -> t
+  (** [make (find_protocol name)].
+      @raise Invalid_argument on an unknown name, listing the known ones. *)
+end
+
+(** A benchmark CRDT with its workloads. *)
 module type CRDT_SPEC = sig
   module C : Crdt_proto.Protocol_intf.CRDT
 
   val name : string
-  val doc : string
-
-  val excluded : string -> string option
-  (** [excluded proto] is [Some reason] when the protocol × CRDT cell is
-      not meaningful (the driver should skip or reject it). *)
 
   val micro_ops :
     nodes:int -> k:int -> round:int -> node:int -> C.t -> C.op list

@@ -52,9 +52,7 @@ let gmap ~total_keys ~k ~nodes ~round ~node _state :
     (gmap_keys ~total_keys ~k ~nodes ~round ~node)
 
 (** Default experiment scale, matching the paper's micro-benchmarks:
-    15-node topologies, 100 events per replica, 1000 GMap keys. *)
+    1000 GMap keys. *)
 module Defaults = struct
-  let nodes = 15
-  let rounds = 100
   let total_keys = 1000
 end

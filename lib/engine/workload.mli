@@ -37,9 +37,8 @@ val gmap_keys :
 val gmap :
   total_keys:int -> k:int -> nodes:int -> ('state, Gmap.Versioned.op) gen
 
-(** Default experiment scale, matching the paper's micro-benchmarks. *)
+(** Default experiment scale, matching the paper's micro-benchmarks:
+    1000 GMap keys. *)
 module Defaults : sig
-  val nodes : int
-  val rounds : int
   val total_keys : int
 end

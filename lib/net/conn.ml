@@ -35,13 +35,13 @@ type t = {
 
 let read_chunk = 65536
 
-let create ?max_payload fd =
+let create fd =
   (* Nonblocking is what makes a short write recoverable: a slow peer
      yields EAGAIN and a queued remainder instead of a stalled loop. *)
   (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
   {
     fd;
-    feed = Crdt_wire.Frame.feed ?max_payload ();
+    feed = Crdt_wire.Frame.feed ();
     scratch = Bytes.create read_chunk;
     obuf = Buffer.create 4096;
     pbuf = Buffer.create 512;

@@ -172,27 +172,19 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
   }
 
   type message =
-    | Delta of { group : C.t; weight : int; bytes : int }
+    | Delta of { group : C.t }
     | Digest of { h : int }
     | SyncReq of { sid : int }
     | Cells of { sid : int; lo : int; cells : Iblt.cell list }
     | More of { sid : int; hi : int }
     | BloomReq of { sid : int; filter : Bloom.t }
-    | BloomResp of {
-        sid : int;
-        filter : Bloom.t;
-        elements : C.t list;
-        weight : int;
-        bytes : int;
-      }
+    | BloomResp of { sid : int; filter : Bloom.t; elements : C.t list }
     | Decoded of {
         sid : int;
         need : int list;  (** hashes of irreducibles only the peer holds. *)
         elements : C.t list;  (** irreducibles only we hold. *)
-        weight : int;
-        bytes : int;
       }
-    | Serve of { sid : int; elements : C.t list; weight : int; bytes : int }
+    | Serve of { sid : int; elements : C.t list }
 
   let protocol_name = "conflict-sync"
 
@@ -313,28 +305,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     let delta = C.delta_mutate op n.id n.x in
     if C.is_bottom delta then n else store n delta n.self
 
-  (* Message smart constructors: weight/bytes measured once, at build
-     (and at decode — they never travel). *)
-  let mk_delta group =
-    Delta { group; weight = C.weight group; bytes = C.byte_size group }
-
-  let sum_costs elements =
-    List.fold_left
-      (fun (w, b) y -> (w + C.weight y, b + C.byte_size y))
-      (0, 0) elements
-
-  let mk_bloomresp sid filter elements =
-    let weight, bytes = sum_costs elements in
-    BloomResp { sid; filter; elements; weight; bytes }
-
-  let mk_decoded sid need elements =
-    let weight, bytes = sum_costs elements in
-    Decoded { sid; need; elements; weight; bytes }
-
-  let mk_serve sid elements =
-    let weight, bytes = sum_costs elements in
-    Serve { sid; elements; weight; bytes }
-
   let session_with n j = Imap.mem j n.init_s || Imap.mem j n.resp_s
 
   let initiate n j =
@@ -379,7 +349,9 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
             (n, msg :: acc))
         n.resync (n, [])
     in
-    let delta_msgs = Buf.push n.buf ~neighbors:n.neighbors mk_delta in
+    let delta_msgs =
+      Buf.push n.buf ~neighbors:n.neighbors (fun group -> Delta { group })
+    in
     let n =
       List.fold_left
         (fun n (j, _) -> { n with last_traffic = Imap.add j n.now n.last_traffic })
@@ -413,7 +385,8 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         let push = List.filter_map (fun k -> Hashtbl.find_opt s.i_table k) minus in
         let s = { s with i_diff = diff; i_last = n.now } in
         let n = { n with init_s = Imap.add src s n.init_s } in
-        (n, [ (src, mk_decoded s.i_sid plus push) ])
+        let decoded = Decoded { sid = s.i_sid; need = plus; elements = push } in
+        (n, [ (src, decoded) ])
     | None ->
         let s = { s with i_diff = diff; i_last = n.now } in
         let n = { n with init_s = Imap.add src s n.init_s } in
@@ -434,7 +407,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
 
   let handle n ~src msg =
     match msg with
-    | Delta { group; _ } ->
+    | Delta { group } ->
         let n = { n with last_traffic = Imap.add src n.now n.last_traffic } in
         (absorb n ~src group, [])
     | Digest { h } ->
@@ -518,9 +491,10 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
                 escalated = Iset.add src n.escalated;
               }
             in
-            (n, [ (src, mk_bloomresp sid mine (List.rev missing)) ])
+            let elements = List.rev missing in
+            (n, [ (src, BloomResp { sid; filter = mine; elements }) ])
         | _ -> (n, []))
-    | BloomResp { sid; filter; elements; _ } -> (
+    | BloomResp { sid; filter; elements } -> (
         match Imap.find_opt src n.init_s with
         | Some s when s.i_sid = sid ->
             let n =
@@ -537,17 +511,17 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
                both sides, so arm the follow-up trigger *)
             let n = close_initiator n src in
             let n = { n with escalated = Iset.add src n.escalated } in
-            (n, [ (src, mk_serve sid push) ])
+            (n, [ (src, Serve { sid; elements = push }) ])
         | _ -> (n, []))
-    | Decoded { sid; need; elements; _ } -> (
+    | Decoded { sid; need; elements } -> (
         match Imap.find_opt src n.resp_s with
         | Some s when s.r_sid = sid ->
             let n = List.fold_left (fun n y -> absorb n ~src y) n elements in
             let serve = List.filter_map (fun k -> Hashtbl.find_opt s.r_table k) need in
             let n = { n with resp_s = Imap.remove src n.resp_s } in
-            (n, [ (src, mk_serve sid serve) ])
+            (n, [ (src, Serve { sid; elements = serve }) ])
         | _ -> (n, []))
-    | Serve { sid; elements; _ } ->
+    | Serve { sid; elements } ->
         let n = List.fold_left (fun n y -> absorb n ~src y) n elements in
         let n =
           match Imap.find_opt src n.init_s with
@@ -565,11 +539,15 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
 
   (* --- accounting --------------------------------------------------------- *)
 
-  let payload_weight = function
-    | Delta { weight; _ } | BloomResp { weight; _ } | Decoded { weight; _ }
-    | Serve { weight; _ } ->
-        weight
+  (* The lattice states a message carries, sized by their containers. *)
+  let payload f = function
+    | Delta { group } -> f group
+    | BloomResp { elements; _ } | Decoded { elements; _ } | Serve { elements; _ }
+      ->
+        List.fold_left (fun acc y -> acc + f y) 0 elements
     | Digest _ | SyncReq _ | Cells _ | More _ | BloomReq _ -> 0
+
+  let payload_weight = payload C.weight
 
   let metadata_weight = function
     | Delta _ -> 0
@@ -579,11 +557,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     | Decoded { need; _ } -> 1 + List.length need
     | Serve _ -> 1
 
-  let payload_bytes = function
-    | Delta { bytes; _ } | BloomResp { bytes; _ } | Decoded { bytes; _ }
-    | Serve { bytes; _ } ->
-        bytes
-    | Digest _ | SyncReq _ | Cells _ | More _ | BloomReq _ -> 0
+  let payload_bytes = payload C.byte_size
 
   let metadata_bytes = function
     | Delta _ -> 0
@@ -599,8 +573,8 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     union ~name:"conflict_sync_message"
       [
         case 0 C.codec
-          (function Delta { group; _ } -> Some group | _ -> None)
-          mk_delta;
+          (function Delta { group } -> Some group | _ -> None)
+          (fun group -> Delta { group });
         case 1 varint
           (function Digest { h } -> Some h | _ -> None)
           (fun h -> Digest { h });
@@ -621,26 +595,22 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         case 6
           (triple varint Bloom.codec (list C.codec))
           (function
-            | BloomResp { sid; filter; elements; _ } ->
-                Some (sid, filter, elements)
+            | BloomResp { sid; filter; elements } -> Some (sid, filter, elements)
             | _ -> None)
-          (fun (sid, filter, elements) -> mk_bloomresp sid filter elements);
+          (fun (sid, filter, elements) -> BloomResp { sid; filter; elements });
         case 7
           (triple varint (list varint) (list C.codec))
           (function
-            | Decoded { sid; need; elements; _ } -> Some (sid, need, elements)
+            | Decoded { sid; need; elements } -> Some (sid, need, elements)
             | _ -> None)
-          (fun (sid, need, elements) -> mk_decoded sid need elements);
+          (fun (sid, need, elements) -> Decoded { sid; need; elements });
         case 8
           (pair varint (list C.codec))
-          (function
-            | Serve { sid; elements; _ } -> Some (sid, elements) | _ -> None)
-          (fun (sid, elements) -> mk_serve sid elements);
+          (function Serve { sid; elements } -> Some (sid, elements) | _ -> None)
+          (fun (sid, elements) -> Serve { sid; elements });
       ]
 
-  let message_wire_bytes m =
-    Crdt_wire.Frame.framed_size
-      ~payload_len:(Crdt_wire.Codec.encoded_size message_codec m)
+  let message_wire_bytes m = Crdt_wire.Frame.value_size message_codec m
 
   (* Metadata: streaks, traffic clocks and live session tables
      (snapshot tables count 8 B per key entry, difference tables 16 B

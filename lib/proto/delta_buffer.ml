@@ -63,7 +63,7 @@ module Make (C : Protocol_intf.CRDT) = struct
     !excl
 
   (* One tick's [(neighbor, mk group)] sends: every non-origin neighbor
-     shares one message of the whole buffer (built and measured once);
+     shares one message of the whole buffer (built once);
      under BP an origin gets all but its own, or nothing if that is
      bottom. *)
   let push b ~neighbors mk =

@@ -59,15 +59,7 @@
     selective eviction needs per-entry sequence numbers.  The RR
     extraction uses the structural
     {!Crdt_core.Lattice_intf.DECOMPOSABLE.delta}, so no received δ-group
-    is ever decomposed into singletons on the hot path.
-
-    {b Message cost caching.}  Every [Delta] message carries its δ-group's
-    weight and byte size, computed once when the message is built.  The
-    engine's per-message accounting ([payload_weight] / [payload_bytes])
-    is then an O(1) field read instead of a full traversal of the group
-    per delivery — classic sends the {e same} group to every neighbor,
-    so the pre-cache cost was O(degree · |group|) per tick for
-    accounting alone. *)
+    is ever decomposed into singletons on the hot path. *)
 
 type config = { bp : bool; rr : bool; ack_mode : bool }
 
@@ -119,13 +111,11 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
   }
 
   type message =
-    | Delta of { group : C.t; seq : int; weight : int; bytes : int }
-        (** [weight]/[bytes] cache [C.weight group]/[C.byte_size group],
-            computed once at send time. *)
+    | Delta of { group : C.t; seq : int }
     | Ack of { seq : int }
-    | SyncReq of { state : C.t; weight : int; bytes : int }
+    | SyncReq of { state : C.t }
         (** crash recovery: the restarted replica's full durable state. *)
-    | SyncResp of { group : C.t; weight : int; bytes : int }
+    | SyncResp of { group : C.t }
         (** crash recovery: [Δ(xⱼ, received)], possibly bottom. *)
 
   let protocol_name = config_name Cfg.config
@@ -200,15 +190,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         else C.join acc e.delta)
       C.bottom n.entries
 
-  let mk_delta group seq =
-    Delta { group; seq; weight = C.weight group; bytes = C.byte_size group }
-
-  let mk_syncreq x =
-    SyncReq { state = x; weight = C.weight x; bytes = C.byte_size x }
-
-  let mk_syncresp g =
-    SyncResp { group = g; weight = C.weight g; bytes = C.byte_size g }
-
   let tick n =
     (* Recovery first: keep requesting reconciliation from every
        neighbor that has not answered yet (retried until the response
@@ -216,7 +197,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     let sync_msgs =
       if Iset.is_empty n.need_sync then []
       else
-        let req = mk_syncreq n.x in
+        let req = SyncReq { state = n.x } in
         List.filter_map
           (fun j -> if Iset.mem j n.need_sync then Some (j, req) else None)
           n.neighbors
@@ -227,7 +208,8 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
           List.filter_map
             (fun j ->
               let g = group_for_ack n j in
-              if C.is_bottom g then None else Some (j, mk_delta g n.next_seq))
+              if C.is_bottom g then None
+              else Some (j, Delta { group = g; seq = n.next_seq }))
             n.neighbors
         in
         (* Keep entries until every neighbor that must receive them (under
@@ -245,7 +227,8 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         ({ n with entries }, msgs)
       else
         let msgs =
-          Buf.push n.buf ~neighbors:n.neighbors (fun g -> mk_delta g n.next_seq)
+          Buf.push n.buf ~neighbors:n.neighbors (fun group ->
+              Delta { group; seq = n.next_seq })
         in
         let buf = Buf.clear n.buf in
         ((if buf == n.buf then n else { n with buf }), msgs)
@@ -274,26 +257,31 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
             Vclock.set src (max seq (Vclock.get src n.acked)) n.acked
           in
           ({ n with acked }, [])
-    | Delta { group = d; seq; _ } ->
+    | Delta { group = d; seq } ->
         let ack = if cfg.ack_mode then [ (src, Ack { seq }) ] else [] in
         (absorb n ~src d, ack)
-    | SyncReq { state = s; _ } ->
+    | SyncReq { state = s } ->
         (* State-driven reconciliation leg 2: compute what the restarted
            replica is missing before absorbing its state, and always
            answer — an empty Δ is the up-to-date marker that clears the
            requester's need_sync entry. *)
         let missing = C.delta n.x s in
-        (absorb n ~src s, [ (src, mk_syncresp missing) ])
-    | SyncResp { group = g; _ } ->
+        (absorb n ~src s, [ (src, SyncResp { group = missing }) ])
+    | SyncResp { group = g } ->
         let n = { n with need_sync = Iset.remove src n.need_sync } in
         if C.is_bottom g then (n, []) else (absorb n ~src g, [])
 
   let state n = n.x
 
-  let payload_weight = function
-    | Delta { weight; _ } | SyncReq { weight; _ } | SyncResp { weight; _ } ->
-        weight
+  (* A message's payload is one lattice state, whose size its container
+     keeps. *)
+  let payload f = function
+    | Delta { group = g; _ } | SyncReq { state = g } | SyncResp { group = g }
+      ->
+        f g
     | Ack _ -> 0
+
+  let payload_weight = payload C.weight
 
   (* Classic tags nothing; BP/ack tag each message with one sequence
      number (the paper's "a sequence number per neighbor" metadata). *)
@@ -304,40 +292,32 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     | Ack _ -> 1
     | SyncReq _ | SyncResp _ -> 1 (* recovery marker. *)
 
-  let payload_bytes = function
-    | Delta { bytes; _ } | SyncReq { bytes; _ } | SyncResp { bytes; _ } ->
-        bytes
-    | Ack _ -> 0
+  let payload_bytes = payload C.byte_size
 
   let metadata_bytes = function
     | Delta _ -> if tagged then 8 else 0
     | Ack _ -> 8
     | SyncReq _ | SyncResp _ -> 8
 
-  (* Cached weight/bytes are recomputed at decode (they are a pure
-     function of the group), so they never travel. *)
   let message_codec =
     let open Crdt_wire.Codec in
     union ~name:"delta_sync_message"
       [
         case 0 (pair C.codec varint)
-          (function
-            | Delta { group; seq; _ } -> Some (group, seq) | _ -> None)
-          (fun (group, seq) -> mk_delta group seq);
+          (function Delta { group; seq } -> Some (group, seq) | _ -> None)
+          (fun (group, seq) -> Delta { group; seq });
         case 1 varint
           (function Ack { seq } -> Some seq | _ -> None)
           (fun seq -> Ack { seq });
         case 2 C.codec
-          (function SyncReq { state; _ } -> Some state | _ -> None)
-          mk_syncreq;
+          (function SyncReq { state } -> Some state | _ -> None)
+          (fun state -> SyncReq { state });
         case 3 C.codec
-          (function SyncResp { group; _ } -> Some group | _ -> None)
-          mk_syncresp;
+          (function SyncResp { group } -> Some group | _ -> None)
+          (fun group -> SyncResp { group });
       ]
 
-  let message_wire_bytes m =
-    Crdt_wire.Frame.framed_size
-      ~payload_len:(Crdt_wire.Codec.encoded_size message_codec m)
+  let message_wire_bytes m = Crdt_wire.Frame.value_size message_codec m
 
   (* The buffer [Bᵢ]: seq-tagged entries measured with [f] (ack), or the
      δ-buffer measured with [buf_size]. *)

@@ -211,9 +211,7 @@ module Make (C : Protocol_intf.CRDT) :
           (fun (index, elements, reply) -> Bucket { index; elements; reply });
       ]
 
-  let message_wire_bytes m =
-    Crdt_wire.Frame.framed_size
-      ~payload_len:(Crdt_wire.Codec.encoded_size message_codec m)
+  let message_wire_bytes m = Crdt_wire.Frame.value_size message_codec m
 
   (* The digest tree is recomputed on demand; resident metadata is the
      cached tree of the last tick: fanout^0 + ... + fanout^depth

@@ -213,9 +213,7 @@ module Make (C : Protocol_intf.CRDT) :
     in
     list tagged_codec
 
-  let message_wire_bytes m =
-    Crdt_wire.Frame.framed_size
-      ~payload_len:(Crdt_wire.Codec.encoded_size message_codec m)
+  let message_wire_bytes m = Crdt_wire.Frame.value_size message_codec m
 
   let buffered_ops n =
     Opmap.fold (fun _ e acc -> acc + C.op_weight e.msg.operation) n.tbuf 0

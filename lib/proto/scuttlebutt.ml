@@ -280,9 +280,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
           (fun pairs -> Pairs pairs);
       ]
 
-  let message_wire_bytes m =
-    Crdt_wire.Frame.framed_size
-      ~payload_len:(Crdt_wire.Codec.encoded_size message_codec m)
+  let message_wire_bytes m = Crdt_wire.Frame.value_size message_codec m
 
   let stored_deltas n =
     Im.fold

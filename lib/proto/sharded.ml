@@ -248,9 +248,7 @@ end = struct
           (fun ks -> Manifest ks);
       ]
 
-  let message_wire_bytes batch =
-    Crdt_wire.Frame.framed_size
-      ~payload_len:(Crdt_wire.Codec.encoded_size message_codec batch)
+  let message_wire_bytes m = Crdt_wire.Frame.value_size message_codec m
 
   (* One walk over the objects for all three figures. *)
   let memory n =

@@ -51,9 +51,7 @@ module Make (C : Protocol_intf.CRDT) :
   let metadata_bytes _ = 0
   let message_codec = C.codec
 
-  let message_wire_bytes d =
-    Crdt_wire.Frame.framed_size
-      ~payload_len:(Crdt_wire.Codec.encoded_size C.codec d)
+  let message_wire_bytes d = Crdt_wire.Frame.value_size message_codec d
 
   let memory n =
     {

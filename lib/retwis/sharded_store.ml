@@ -18,8 +18,3 @@ end
 module Delta (Cfg : Crdt_proto.Delta_sync.CONFIG) =
   Crdt_proto.Sharded.Make (Key) (User_state)
     (Crdt_proto.Delta_sync.Make (User_state) (Cfg))
-
-(** Sharded state-based synchronization, as a baseline. *)
-module State =
-  Crdt_proto.Sharded.Make (Key) (User_state)
-    (Crdt_proto.State_sync.Make (User_state))

@@ -1,8 +1,8 @@
 (** Per-user replicated state for the Retwis application (Section V-C).
 
     Each user owns three objects, composed here into one lattice so that
-    the whole social store is a single CRDT and every synchronization
-    protocol applies unchanged:
+    a user is a single CRDT object ({!Sharded_store} replicates one per
+    user) and every synchronization protocol applies unchanged:
 
     - {b followers}: a GSet of user ids;
     - {b wall}: a GMap from tweet identifiers to tweet content

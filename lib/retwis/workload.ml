@@ -87,15 +87,6 @@ let raw_ops t ~round ~node ~followers_of ~timeline_of :
     []
   end
 
-(** Specialization of {!raw_ops} reading from a whole-database
-    {!Store.t} replica, in the engine's workload-generator shape. *)
-let ops t : (Store.t, Store.op) Crdt_engine.Workload.gen =
- fun ~round ~node (db : Store.t) ->
-  raw_ops t ~round ~node
-    ~followers_of:(fun user -> Store.followers_of user db)
-    ~timeline_of:(fun user -> ignore (Store.timeline_of user db))
-  |> List.map (fun (user, op) -> Store.Apply (user, op))
-
 (** Specialization of {!raw_ops} reading from a sharded per-user replica
     (an association of user id to {!User_state.t}, as produced by
     [Crdt_proto.Sharded]). *)

@@ -31,16 +31,12 @@ val raw_ops :
     replica (posts fan out to the author's currently known followers);
     [timeline_of] performs the read-only Timeline fetch. *)
 
-val ops : t -> (Store.t, Store.op) Crdt_engine.Workload.gen
-(** {!raw_ops} reading from a whole-database {!Store.t} replica,
-    exposed in the engine's {!Crdt_engine.Workload.gen} shape so the
-    simulator, serve and benchmarks all consume Retwis through the same
-    interface as the micro-workloads. *)
-
 val ops_sharded :
   t -> ((int * User_state.t) list, int * User_state.op) Crdt_engine.Workload.gen
 (** {!raw_ops} reading from a sharded per-user replica (as produced by
-    [Crdt_proto.Sharded]), likewise a {!Crdt_engine.Workload.gen}. *)
+    [Crdt_proto.Sharded]), exposed in the engine's
+    {!Crdt_engine.Workload.gen} shape so the simulator and benchmarks
+    consume Retwis through the same interface as the micro-workloads. *)
 
 val mix : t -> float * float * float * float
 (** Measured (follow %, post %, timeline %, avg updates per post) — the

@@ -3,8 +3,9 @@
 
     Protocol dispatch is registry-driven: the harness walks
     {!Crdt_engine.Registry.protocols} and instantiates each selected
-    constructor against the experiment's CRDT, so a protocol added to the
-    registry shows up here (and in every harness client) without edits.
+    constructor for the experiment's CRDT through
+    {!Crdt_engine.Registry.For}, so a protocol added to the registry
+    shows up here (and in every harness client) without edits.
 
     Used by the benchmark executable (one section per paper figure) and by
     the [crdtsync] CLI. *)
@@ -33,36 +34,47 @@ let selected selection =
     (fun maker -> List.mem (Registry.protocol_name maker) selection)
     Registry.protocols
 
+(** Find the ratio baseline in a result list: BP+RR when present,
+    otherwise its ack-mode variant (fault runs may mask plain BP+RR),
+    otherwise the first outcome.
+    @raise Invalid_argument ("no protocol selected") on an empty list. *)
+let baseline outcomes =
+  let find name = List.find_opt (fun o -> o.protocol = name) outcomes in
+  match (find "delta-bp+rr", find "delta-bp+rr-ack", outcomes) with
+  | Some o, _, _ | None, Some o, _ | None, None, o :: _ -> o
+  | None, None, [] -> invalid_arg "no protocol selected"
+
 module Make (C : Protocol_intf.CRDT) = struct
+  module Protocols = Registry.For (C)
+
   type ops = round:int -> node:int -> C.t -> C.op list
 
   (** Split a selection into the protocols whose declared capabilities
-      cover the fault [plan] and the names that were excluded, so callers
-      can report what was masked instead of silently shrinking the
-      comparison; both in registry order.  With [Fault.none] nothing is
-      excluded.  @raise Invalid_argument on an unknown name. *)
+      cover the fault [plan] and the names that were masked, so callers
+      can report them instead of silently shrinking the comparison; both
+      in registry order.  With [Fault.none] nothing is masked.
+      @raise Invalid_argument on an unknown name. *)
   let mask_unsupported (plan : Fault.plan) selection =
     let kept, masked =
       List.partition
-        (fun maker -> Fault.supported ~caps:(Registry.capabilities maker) plan)
+        (fun maker ->
+          let module P = (val Protocols.make maker) in
+          Fault.supported ~caps:P.capabilities plan)
         (selected selection)
     in
     (List.map Registry.protocol_name kept, List.map Registry.protocol_name masked)
 
-  let run_one (maker : Registry.proto) ?faults ?quiesce_limit ?(domains = 1)
-      ?bytes ?sink ~topology ~rounds ~(ops : ops) () =
-    let module P =
-      (val Registry.instantiate maker
-             (module C : Protocol_intf.CRDT with type t = C.t and type op = C.op))
-    in
+  let run_one (maker : Registry.proto) ?faults ?(domains = 1) ?bytes ?sink
+      ~topology ~rounds ~(ops : ops) () =
+    let module P = (val Protocols.make maker) in
     let module R = Runner.Make (P) in
     (match sink with
     | Some (s : Crdt_engine.Trace.sink) ->
         s.meta ("protocol=" ^ P.protocol_name)
     | None -> ());
     let res =
-      R.run ?faults ?quiesce_limit ~domains ?bytes ?sink ~equal:C.equal
-        ~topology ~rounds ~ops ()
+      R.run ?faults ~domains ?bytes ?sink ~equal:C.equal ~topology ~rounds
+        ~ops ()
     in
     {
       protocol = P.protocol_name;
@@ -81,27 +93,10 @@ module Make (C : Protocol_intf.CRDT) = struct
       drop them instead.  [sink] attaches a trace sink to every run
       (each prefixed with a [protocol=<name>] meta event); it requires
       [domains = 1]. *)
-  let run ?(selection = default_protocols) ?faults ?quiesce_limit
-      ?(domains = 1) ?bytes ?sink ~topology ~rounds ~(ops : ops) () =
+  let run ?(selection = default_protocols) ?faults ?(domains = 1) ?bytes
+      ?sink ~topology ~rounds ~(ops : ops) () =
     List.map
       (fun maker ->
-        run_one maker ?faults ?quiesce_limit ~domains ?bytes ?sink ~topology
-          ~rounds ~ops ())
+        run_one maker ?faults ~domains ?bytes ?sink ~topology ~rounds ~ops ())
       (selected selection)
-
-  (** Find the ratio baseline in a result list: BP+RR when present,
-      otherwise its ack-mode variant (fault runs may mask plain BP+RR),
-      otherwise the first outcome. *)
-  let baseline outcomes =
-    let find name = List.find_opt (fun o -> o.protocol = name) outcomes in
-    match find "delta-bp+rr" with
-    | Some o -> o
-    | None -> (
-        match find "delta-bp+rr-ack" with
-        | Some o -> o
-        | None -> (
-            match outcomes with
-            | o :: _ -> o
-            | [] ->
-                invalid_arg "Harness.baseline: empty outcome list"))
 end

@@ -296,8 +296,6 @@ let union ~name cases =
 (* ------------------------------------------------------------------ *)
 (* Whole-value entry points                                            *)
 
-let encode_to_buffer c buf x = c.write buf x
-
 (** Append the binary form of [x] to [buf].  This is the zero-copy
     entry point of the batched I/O path: a caller that owns a reusable
     buffer (a per-connection outbound queue, a payload scratch) encodes

@@ -27,6 +27,10 @@ let default_max_payload = 16 * 1024 * 1024
 (** Exact on-the-wire size of a frame holding [payload_len] bytes. *)
 let framed_size ~payload_len = 3 + Codec.varint_size payload_len + payload_len
 
+(** Exact on-the-wire size of a frame whose payload is [codec]-encoded
+    [v]: what every protocol's [message_wire_bytes] reports. *)
+let value_size codec v = framed_size ~payload_len:(Codec.encoded_size codec v)
+
 let add_header buf ~kind ~payload_len =
   if kind < 0 || kind > 0xff then invalid_arg "Frame.encode: bad kind";
   Buffer.add_char buf (Char.chr magic);

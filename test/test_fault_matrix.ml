@@ -22,9 +22,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 module Si = Gset.Of_int
-
-module type P_int =
-  Crdt_proto.Protocol_intf.PROTOCOL with type crdt = Si.t and type op = int
+module Protocols = Crdt_engine.Registry.For (Si)
 
 module State = Crdt_proto.State_sync.Make (Si)
 module Classic = Crdt_proto.Delta_sync.Make (Si) (Crdt_proto.Delta_sync.Classic_config)
@@ -35,7 +33,7 @@ module SbGc = Crdt_proto.Scuttlebutt.Make (Si) (Crdt_proto.Scuttlebutt.Gc_config
 module Op = Crdt_proto.Op_sync.Make (Si)
 module Merkle = Crdt_proto.Merkle_sync.Make (Si)
 
-module F (P : P_int) = struct
+module F (P : Protocols.S) = struct
   module R = Runner.Make (P)
 
   let go ?(quiesce_limit = 64) ?(domains = 1) ~faults ~topology ~rounds () =
@@ -174,7 +172,7 @@ let capability_tests =
     Alcotest.test_case "harness masks unsupported protocols by name" `Quick
       (fun () ->
         let module H = Harness.Make (Si) in
-        let sel, excluded =
+        let sel, masked =
           H.mask_unsupported drop_plan
             ("delta-bp+rr-ack" :: Harness.default_protocols)
         in
@@ -183,10 +181,10 @@ let capability_tests =
         check "state kept" true (List.mem "state-based" sel);
         check "ack kept" true (List.mem "delta-bp+rr-ack" sel);
         check "masked names reported" true
-          (List.mem "delta-bp+rr" excluded && List.mem "op-based" excluded);
-        let sel', excluded' = H.mask_unsupported Fault.none sel in
+          (List.mem "delta-bp+rr" masked && List.mem "op-based" masked);
+        let sel', masked' = H.mask_unsupported Fault.none sel in
         check "no-fault masking is the identity" true
-          (sel' = sel && excluded' = []));
+          (sel' = sel && masked' = []));
   ]
 
 (* -- partition-heal convergence ------------------------------------------ *)
@@ -452,7 +450,7 @@ let storm_tests =
 (* -- crash/recover state preservation ------------------------------------- *)
 
 let law_tests =
-  let law (module P : P_int) name =
+  let law (module P : Protocols.S) name =
     Alcotest.test_case (name ^ ": state survives crash + recover") `Quick
       (fun () ->
         let n = P.init ~id:0 ~neighbors:[ 1; 2 ] ~total:3 in

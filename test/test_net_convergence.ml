@@ -385,13 +385,8 @@ let scuttlebutt_test () =
    workload, same protocol, full mesh, exact byte accounting. *)
 let sim_totals ~crdt ~protocol ~n ~ops =
   let module S = (val Registry.find_crdt crdt) in
-  let module P =
-    (val Registry.instantiate
-           (Registry.find_protocol protocol)
-           (module S.C : Crdt_proto.Protocol_intf.CRDT
-             with type t = S.C.t
-              and type op = S.C.op))
-  in
+  let module Protocols = Registry.For (S.C) in
+  let module P = (val Protocols.find protocol) in
   let module R = Crdt_sim.Runner.Make (P) in
   let res =
     R.run ~bytes:Crdt_sim.Metrics.Exact ~equal:S.C.equal
@@ -462,13 +457,8 @@ let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 (* The in-process serve checks run delta-bp+rr over gset. *)
 module S = (val Registry.find_crdt "gset")
-
-module P =
-  (val Registry.instantiate
-         (Registry.find_protocol "delta-bp+rr")
-         (module S.C : Crdt_proto.Protocol_intf.CRDT
-           with type t = S.C.t
-            and type op = S.C.op))
+module Protocols = Registry.For (S.C)
+module P = (val Protocols.find "delta-bp+rr")
 
 module R = Crdt_net.Runtime.Make (P)
 

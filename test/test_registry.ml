@@ -2,11 +2,10 @@
    and the trace layer.
 
    The headline check is registry exhaustiveness: every registered
-   protocol instantiates against every registered CRDT (minus the
-   registry's own declared exclusions), ticks, and moves a message
-   between two driver replicas.  That is what backs the claim that
-   `crdtsync serve` accepts any registered cell — a protocol added to
-   the registry is covered here without edits. *)
+   protocol instantiates against every registered CRDT, ticks, and
+   moves a message between two driver replicas.  That is what backs the
+   claim that `crdtsync serve` accepts any registered cell — a protocol
+   added to the registry is covered here without edits. *)
 
 open Crdt_sim
 module Registry = Crdt_engine.Registry
@@ -32,6 +31,9 @@ let expected_protocols =
 
 let expected_crdts = [ "gset"; "gcounter"; "gmap"; "orset" ]
 
+module Gc = Crdt_core.Gcounter
+module Gc_protocols = Registry.For (Gc)
+
 let surface =
   [
     Alcotest.test_case "protocol catalogue and its order are stable" `Quick
@@ -46,23 +48,20 @@ let surface =
            this pins them together so they cannot drift. *)
         List.iter
           (fun maker ->
-            let module P =
-              (val Registry.instantiate maker
-                     (module Crdt_core.Gcounter : Crdt_proto.Protocol_intf.CRDT
-                       with type t = Crdt_core.Gcounter.t
-                        and type op = Crdt_core.Gcounter.op))
-            in
+            let module P = (val Gc_protocols.make maker) in
             check_string "name" (Registry.protocol_name maker) P.protocol_name)
           Registry.protocols);
     Alcotest.test_case "find_protocol rejects unknown names helpfully" `Quick
       (fun () ->
-        check "raises" true
-          (try
-             ignore (Registry.find_protocol "gossip");
-             false
-           with Invalid_argument msg ->
-             contains ~needle:"gossip" msg
-             && contains ~needle:"delta-bp+rr" msg));
+        let rejects find =
+          try
+            ignore (find "gossip");
+            false
+          with Invalid_argument msg ->
+            contains ~needle:"gossip" msg && contains ~needle:"delta-bp+rr" msg
+        in
+        check "raises" true (rejects Registry.find_protocol);
+        check "For.find raises" true (rejects Gc_protocols.find));
     Alcotest.test_case "find_crdt rejects unknown names helpfully" `Quick
       (fun () ->
         check "raises" true
@@ -75,7 +74,8 @@ let surface =
       (fun () ->
         List.iter
           (fun maker ->
-            let caps = Registry.capabilities maker in
+            let module P = (val Gc_protocols.make maker) in
+            let caps = P.capabilities in
             (* BP+RR-ack declares loss tolerance; plain BP+RR does not. *)
             match Registry.protocol_name maker with
             | "delta-bp+rr-ack" ->
@@ -96,12 +96,8 @@ let surface =
    exercise their full exchange. *)
 let smoke_cell (spec : Registry.crdt_spec) (maker : Registry.proto) =
   let module S = (val spec) in
-  let module P =
-    (val Registry.instantiate maker
-           (module S.C : Crdt_proto.Protocol_intf.CRDT
-             with type t = S.C.t
-              and type op = S.C.op))
-  in
+  let module Protocols = Registry.For (S.C) in
+  let module P = (val Protocols.make maker) in
   let module D = Crdt_engine.Driver.Make (P) in
   let counters = Trace.make_counters () in
   let sink = Trace.counting counters in
@@ -137,56 +133,40 @@ let exhaustive =
   List.concat_map
     (fun spec ->
       let module S = (val spec : Registry.CRDT_SPEC) in
-      List.filter_map
+      List.map
         (fun maker ->
-          let proto = Registry.protocol_name maker in
-          match S.excluded proto with
-          | Some _ -> None
-          | None ->
-              Some
-                (Alcotest.test_case
-                   (Printf.sprintf "%s × %s" proto S.name)
-                   `Quick
-                   (fun () -> smoke_cell spec maker)))
+          Alcotest.test_case
+            (Printf.sprintf "%s × %s" (Registry.protocol_name maker) S.name)
+            `Quick
+            (fun () -> smoke_cell spec maker))
         Registry.protocols)
     Registry.crdts
 
-let exclusions =
+let matrix =
   [
-    Alcotest.test_case "no cell is excluded (orset runs op-based)" `Quick
-      (fun () ->
+    Alcotest.test_case "the checker's cells are every protocol × CRDT pair"
+      `Quick (fun () ->
         (* The orset workload removes a deterministically named element
            (node 0's own add from three rounds earlier), so op-based
-           replay reproduces it and the old exclusion is gone: the full
-           protocol × CRDT matrix is live. *)
-        List.iter
-          (fun spec ->
-            let module S = (val spec : Registry.CRDT_SPEC) in
-            List.iter
-              (fun proto ->
-                let p = Registry.protocol_name proto in
-                check
-                  (Printf.sprintf "%s x %s allowed" p S.name)
-                  true
-                  (Option.is_none (S.excluded p)))
-              Registry.protocols)
-          Registry.crdts);
+           replay reproduces it: the full matrix is live, protocols in
+           reporting order, each crossed with every CRDT. *)
+        let expected =
+          List.concat_map
+            (fun p -> List.map (fun c -> (p, c)) expected_crdts)
+            expected_protocols
+        in
+        check_int "44 cells" 44 (List.length expected);
+        Alcotest.(check (list (pair string string)))
+          "cells" expected
+          (Crdt_check.Cells.cells ()));
   ]
 
 (* -- driver state machine ----------------------------------------------- *)
 
-module Gc = Crdt_core.Gcounter
-
 let driver =
   [
     Alcotest.test_case "apply counts ops and sets dirty" `Quick (fun () ->
-        let maker = Registry.find_protocol "state-based" in
-        let module P =
-          (val Registry.instantiate maker
-                 (module Gc : Crdt_proto.Protocol_intf.CRDT
-                   with type t = Gc.t
-                    and type op = Gc.op))
-        in
+        let module P = (val Gc_protocols.find "state-based") in
         let module D = Crdt_engine.Driver.Make (P) in
         let d = D.create ~id:0 ~neighbors:[ 1 ] ~total:2 () in
         check "fresh not dirty" false (D.dirty d);
@@ -196,13 +176,7 @@ let driver =
         check "cleared" false (D.dirty d);
         check_int "cumulative" 2 (D.ops_applied d));
     Alcotest.test_case "crash makes the replica dark" `Quick (fun () ->
-        let maker = Registry.find_protocol "state-based" in
-        let module P =
-          (val Registry.instantiate maker
-                 (module Gc : Crdt_proto.Protocol_intf.CRDT
-                   with type t = Gc.t
-                    and type op = Gc.op))
-        in
+        let module P = (val Gc_protocols.find "state-based") in
         let module D = Crdt_engine.Driver.Make (P) in
         let d = D.create ~id:0 ~neighbors:[ 1 ] ~total:2 () in
         D.crash d ~round:1;
@@ -216,13 +190,7 @@ let driver =
         check "dirty after recover" true (D.dirty d));
     Alcotest.test_case "changed-based dirty tracking on delivery" `Quick
       (fun () ->
-        let maker = Registry.find_protocol "state-based" in
-        let module P =
-          (val Registry.instantiate maker
-                 (module Gc : Crdt_proto.Protocol_intf.CRDT
-                   with type t = Gc.t
-                    and type op = Gc.op))
-        in
+        let module P = (val Gc_protocols.find "state-based") in
         let module D = Crdt_engine.Driver.Make (P) in
         let changed a b = not (Gc.equal a b) in
         let a = D.create ~id:0 ~neighbors:[ 1 ] ~total:2 () in
@@ -323,13 +291,7 @@ let trace =
           [ {|{"ev":"meta","note":"a\"b\nc"}|} ]
           (jsonl_lines (fun s -> s.meta "a\"b\nc")));
     Alcotest.test_case "jsonl sees the full driver cycle" `Quick (fun () ->
-        let maker = Registry.find_protocol "delta-bp+rr" in
-        let module P =
-          (val Registry.instantiate maker
-                 (module Gc : Crdt_proto.Protocol_intf.CRDT
-                   with type t = Gc.t
-                    and type op = Gc.op))
-        in
+        let module P = (val Gc_protocols.find "delta-bp+rr") in
         let module D = Crdt_engine.Driver.Make (P) in
         let lines =
           jsonl_lines (fun sink ->
@@ -372,13 +334,8 @@ let accounting =
     Alcotest.test_case "a user sink's tallies equal the Metrics summary"
       `Quick (fun () ->
         let module Si = Crdt_core.Gset.Of_int in
-        let maker = Registry.find_protocol "delta-bp+rr" in
-        let module P =
-          (val Registry.instantiate maker
-                 (module Si : Crdt_proto.Protocol_intf.CRDT
-                   with type t = Si.t
-                    and type op = Si.op))
-        in
+        let module Protocols = Registry.For (Si) in
+        let module P = (val Protocols.find "delta-bp+rr") in
         let module R = Runner.Make (P) in
         let seen = Trace.make_counters () in
         let res =
@@ -396,13 +353,8 @@ let accounting =
     Alcotest.test_case "a sink requires the sequential engine" `Quick
       (fun () ->
         let module Si = Crdt_core.Gset.Of_int in
-        let maker = Registry.find_protocol "delta-bp+rr" in
-        let module P =
-          (val Registry.instantiate maker
-                 (module Si : Crdt_proto.Protocol_intf.CRDT
-                   with type t = Si.t
-                    and type op = Si.op))
-        in
+        let module Protocols = Registry.For (Si) in
+        let module P = (val Protocols.find "delta-bp+rr") in
         let module R = Runner.Make (P) in
         check "raises" true
           (try
@@ -420,7 +372,7 @@ let () =
     [
       ("registry surface", surface);
       ("protocol × CRDT exhaustiveness", exhaustive);
-      ("exclusions", exclusions);
+      ("cell matrix", matrix);
       ("driver", driver);
       ("trace", trace);
       ("accounting", accounting);

@@ -14,28 +14,32 @@ let model_tests =
   [
     Alcotest.test_case "follow updates the followee's follower set" `Quick
       (fun () ->
-        let db = Store.follow ~follower:7 ~followee:3 i0 Store.bottom in
-        Alcotest.(check (list int)) "followers" [ 7 ] (Store.followers_of 3 db));
+        let st = User_state.mutate (Follow 7) i0 User_state.bottom in
+        Alcotest.(check (list int)) "followers" [ 7 ] (User_state.followers st));
     Alcotest.test_case "post lands on the author's wall" `Quick (fun () ->
-        let db =
-          Store.post ~author:3 ~tweet_id:"t1" ~content:"hello" i0 Store.bottom
+        let st =
+          User_state.mutate
+            (Post { tweet_id = "t1"; content = "hello" })
+            i0 User_state.bottom
         in
-        let wall = Store.wall_of 3 db in
+        let wall = User_state.wall st in
         check_int "one tweet" 1 (User_state.Wall.cardinal wall);
         Alcotest.(check string)
           "content" "hello"
           (Lww_register.value (User_state.Wall.find "t1" wall)));
     Alcotest.test_case "timeline returns the 10 newest, newest first" `Quick
       (fun () ->
-        let db =
+        let st =
           List.fold_left
-            (fun db ts ->
-              Store.push_timeline ~user:1 ~timestamp:ts
-                ~tweet_id:(Printf.sprintf "t%d" ts) i0 db)
-            Store.bottom
+            (fun st ts ->
+              User_state.mutate
+                (Timeline_add
+                   { timestamp = ts; tweet_id = Printf.sprintf "t%d" ts })
+                i0 st)
+            User_state.bottom
             (List.init 15 (fun k -> k + 1))
         in
-        let tl = Store.timeline_of 1 db in
+        let tl = User_state.recent_timeline st in
         check_int "limit 10" 10 (List.length tl);
         check_int "newest first" 15 (fst (List.hd tl));
         check "descending" true
@@ -46,24 +50,33 @@ let model_tests =
            desc tl));
     Alcotest.test_case "concurrent follows of the same user merge" `Quick
       (fun () ->
-        let at_a = Store.follow ~follower:1 ~followee:9 i0 Store.bottom in
-        let at_b = Store.follow ~follower:2 ~followee:9 i1 Store.bottom in
+        let at_a = User_state.mutate (Follow 1) i0 User_state.bottom in
+        let at_b = User_state.mutate (Follow 2) i1 User_state.bottom in
         Alcotest.(check (list int))
           "both followers" [ 1; 2 ]
-          (Store.followers_of 9 (Store.join at_a at_b)));
+          (User_state.followers (User_state.join at_a at_b)));
   ]
+
+(* A sharded replica's per-user objects after applying [ops] at replica
+   0, in the association shape [Workload.ops_sharded] reads. *)
+let apply_ops objects ops =
+  List.fold_left
+    (fun objects (user, op) ->
+      let st =
+        Option.value (List.assoc_opt user objects) ~default:User_state.bottom
+      in
+      (user, User_state.mutate op i0 st) :: List.remove_assoc user objects)
+    objects ops
 
 let workload_tests =
   [
     Alcotest.test_case "operation mix matches Table II (15/35/50)" `Quick
       (fun () ->
         let wl = Workload.make ~seed:1 ~users:200 ~coefficient:1.0 in
-        let db = ref Store.bottom in
+        let objects = ref [] in
         for round = 0 to 2000 do
-          let ops = Workload.ops wl ~round ~node:0 !db in
-          List.iter
-            (fun (Store.Apply (k, op)) -> db := Store.apply k op i0 !db)
-            ops
+          let ops = Workload.ops_sharded wl ~round ~node:0 !objects in
+          objects := apply_ops !objects ops
         done;
         let follows, posts, reads, _ = Workload.mix wl in
         check (Printf.sprintf "follows %.1f%%" follows) true
@@ -75,22 +88,21 @@ let workload_tests =
     Alcotest.test_case "posts fan out to followers (1 + #followers updates)"
       `Quick (fun () ->
         let wl = Workload.make ~seed:2 ~users:50 ~coefficient:0.8 in
-        (* Seed a db in which user 0 (zipf head) has 5 followers. *)
-        let db =
-          List.fold_left
-            (fun db f -> Store.follow ~follower:f ~followee:0 i0 db)
-            Store.bottom [ 1; 2; 3; 4; 5 ]
+        (* Seed a replica in which user 0 (zipf head) has 5 followers. *)
+        let objects =
+          apply_ops []
+            (List.map (fun f -> (0, User_state.Follow f)) [ 1; 2; 3; 4; 5 ])
         in
         (* Find a round where the generated op is a post by user 0. *)
         let rec hunt round =
           if round > 5000 then Alcotest.fail "no post by the zipf head found"
           else
-            let ops = Workload.ops wl ~round ~node:0 db in
+            let ops = Workload.ops_sharded wl ~round ~node:0 objects in
             match ops with
-            | Store.Apply (0, User_state.Post _) :: rest ->
+            | (0, User_state.Post _) :: rest ->
                 check_int "5 timeline pushes" 5 (List.length rest);
                 List.iter
-                  (fun (Store.Apply (_, op)) ->
+                  (fun (_, op) ->
                     match op with
                     | User_state.Timeline_add _ -> ()
                     | _ -> Alcotest.fail "expected a timeline push")
@@ -104,8 +116,8 @@ let workload_tests =
         let rec hunt round =
           if round > 2000 then Alcotest.fail "no post found"
           else
-            match Workload.ops wl ~round ~node:0 Store.bottom with
-            | Store.Apply (_, User_state.Post { tweet_id; content }) :: _ ->
+            match Workload.ops_sharded wl ~round ~node:0 [] with
+            | (_, User_state.Post { tweet_id; content }) :: _ ->
                 check_int "id bytes" 31 (String.length tweet_id);
                 check_int "content bytes" 270 (String.length content)
             | _ -> hunt (round + 1)

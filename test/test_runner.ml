@@ -158,7 +158,7 @@ let harness_tests =
         in
         Alcotest.(check string)
           "baseline" "delta-bp+rr"
-          (H.baseline outcomes).protocol);
+          (Harness.baseline outcomes).protocol);
     Alcotest.test_case "baseline falls back when bp+rr is masked" `Quick
       (fun () ->
         (* Fault runs may exclude plain bp+rr (it does not tolerate
@@ -174,12 +174,12 @@ let harness_tests =
         in
         Alcotest.(check string)
           "fallback" "state-based"
-          (H.baseline [ only ]).protocol;
+          (Harness.baseline [ only ]).protocol;
         check "raises on empty" true
           (try
-             ignore (H.baseline []);
+             ignore (Harness.baseline []);
              false
-           with Invalid_argument _ -> true));
+           with Invalid_argument msg -> msg = "no protocol selected"));
     Alcotest.test_case "protocol names are stable identifiers" `Quick
       (fun () ->
         let topo = Topology.ring 5 in
