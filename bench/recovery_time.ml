@@ -11,7 +11,12 @@
 
    The sweep records recovery wall time, replayed records/bytes and
    checkpoint bytes per (crdt × protocol × log size × interval) cell,
-   for gset and gmap under delta-bp+rr and conflict-sync.  It fails
+   for gset and gmap under delta-bp+rr and conflict-sync, over 64 KiB
+   segments.  Beside it, gset × delta-bp+rr cells without checkpoints
+   write their whole log into segments of the store's default size, so
+   one segment scan reads every record — what a replica restarting
+   after a long run pays, and where a reader whose cost grows faster
+   than the segment shows first.  It fails
    unless every recovered state equals the writer's final state, every
    checkpointed cell replays at most one checkpoint interval of deltas,
    and checkpointing never replays more bytes than the
@@ -27,6 +32,7 @@ type row = {
   protocol : string;
   ops : int;  (** durability points = delta records written. *)
   checkpoint_every : int;  (** 0 = checkpointing disabled. *)
+  segment_bytes : int;  (** the log's roll threshold. *)
   log_bytes : int;  (** total bytes appended by the writer. *)
   segments : int;  (** segments scanned at recovery. *)
   checkpoint_bytes : int;
@@ -61,7 +67,8 @@ module Cell (C : Crdt_proto.Protocol_intf.CRDT) = struct
 
   module Image = Store.Image (C)
 
-  let measure (module P : Protocols.S) ~crdt ~ops ~checkpoint_every ~op_of_i =
+  let measure (module P : Protocols.S) ~crdt ~segment_bytes ~ops
+      ~checkpoint_every ~op_of_i =
     let module D = Crdt_engine.Driver.Make (P) in
     let dir = fresh_dir () in
     remove_dir dir;
@@ -91,6 +98,7 @@ module Cell (C : Crdt_proto.Protocol_intf.CRDT) = struct
           protocol = P.protocol_name;
           ops;
           checkpoint_every;
+          segment_bytes;
           log_bytes;
           segments = recovered.Store.segments;
           checkpoint_bytes = recovered.Store.checkpoint_bytes;
@@ -111,13 +119,14 @@ let protocols = [ "delta-bp+rr"; "conflict-sync" ]
    artificially cheap. *)
 let ident i = ((i * 0x2545F4914F6CDD1D) + 0x123456789ABCDEF) land max_int
 
-let gset_row ~ops ~checkpoint_every protocol =
-  C_gset.measure (C_gset.Protocols.find protocol) ~crdt:"gset" ~ops
-    ~checkpoint_every ~op_of_i:ident
+let gset_row ?(segment_bytes = segment_bytes) ~ops ~checkpoint_every protocol =
+  C_gset.measure (C_gset.Protocols.find protocol) ~crdt:"gset" ~segment_bytes
+    ~ops ~checkpoint_every ~op_of_i:ident
 
 let gmap_row ~ops ~checkpoint_every protocol =
-  C_gmap.measure (C_gmap.Protocols.find protocol) ~crdt:"gmap" ~ops
-    ~checkpoint_every ~op_of_i:(fun i -> Gmap.Versioned.Apply (ident i, Version.Bump))
+  C_gmap.measure (C_gmap.Protocols.find protocol) ~crdt:"gmap" ~segment_bytes
+    ~ops ~checkpoint_every
+    ~op_of_i:(fun i -> Gmap.Versioned.Apply (ident i, Version.Bump))
 
 let sweep ~sizes ~intervals =
   List.concat_map
@@ -127,6 +136,13 @@ let sweep ~sizes ~intervals =
           List.map (gset_row ~ops ~checkpoint_every) protocols
           @ List.map (gmap_row ~ops ~checkpoint_every) protocols)
         intervals)
+    sizes
+
+let default_segment_rows ~sizes =
+  List.map
+    (fun ops ->
+      gset_row ~segment_bytes:Store.default_segment_bytes ~ops
+        ~checkpoint_every:0 "delta-bp+rr")
     sizes
 
 (* -- assertions ---------------------------------------------------------- *)
@@ -165,7 +181,7 @@ let check_vs_baseline rows =
           List.find
             (fun b ->
               b.crdt = r.crdt && b.protocol = r.protocol && b.ops = r.ops
-              && b.checkpoint_every = 0)
+              && b.segment_bytes = r.segment_bytes && b.checkpoint_every = 0)
             rows
         in
         if r.replayed_bytes <= baseline.replayed_bytes then None
@@ -184,8 +200,8 @@ let print_rows rows =
   Report.table
     ~header:
       [
-        "crdt"; "protocol"; "ops"; "ckpt"; "log B"; "segs"; "ckpt B";
-        "replay recs"; "replay B"; "recovery ms";
+        "crdt"; "protocol"; "ops"; "ckpt"; "seg KiB"; "log B"; "segs";
+        "ckpt B"; "replay recs"; "replay B"; "recovery ms";
       ]
     (List.map
        (fun r ->
@@ -195,6 +211,7 @@ let print_rows rows =
            string_of_int r.ops;
            (if r.checkpoint_every = 0 then "off"
             else string_of_int r.checkpoint_every);
+           string_of_int (r.segment_bytes / 1024);
            string_of_int r.log_bytes;
            string_of_int r.segments;
            string_of_int r.checkpoint_bytes;
@@ -208,10 +225,9 @@ let print_rows rows =
 let write_json path ~scale rows =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"bench\": \"recovery_time\",\n  \"schema\": 1,\n";
+  out "{\n  \"bench\": \"recovery_time\",\n  \"schema\": 2,\n";
   out "  \"host\": %s,\n" (Report.host_json ());
   out "  \"scale\": %S,\n" scale;
-  out "  \"segment_bytes\": %d,\n" segment_bytes;
   out
     "  \"accounting\": \"restart = reopen segment log + decode checkpoint \
      and deltas + join + P.load; wall-clock ms\",\n";
@@ -220,13 +236,13 @@ let write_json path ~scale rows =
     (fun i r ->
       out
         "    {\"crdt\": %S, \"protocol\": %S, \"ops\": %d, \
-         \"checkpoint_every\": %d,\n\
+         \"checkpoint_every\": %d, \"segment_bytes\": %d,\n\
         \     \"log_bytes\": %d, \"segments\": %d, \"checkpoint_bytes\": %d, \
          \"replayed_records\": %d, \"replayed_bytes\": %d, \"recovery_ms\": \
          %.3f, \"recovered_ok\": %b}%s\n"
-        r.crdt r.protocol r.ops r.checkpoint_every r.log_bytes r.segments
-        r.checkpoint_bytes r.replayed_records r.replayed_bytes r.recovery_ms
-        r.recovered_ok
+        r.crdt r.protocol r.ops r.checkpoint_every r.segment_bytes r.log_bytes
+        r.segments r.checkpoint_bytes r.replayed_records r.replayed_bytes
+        r.recovery_ms r.recovered_ok
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  ]\n}\n";
@@ -236,9 +252,10 @@ let write_json path ~scale rows =
 let run ?(quick = false) ?json_path () =
   let sizes = if quick then [ 1_000; 4_000 ] else [ 1_000; 4_000; 16_000 ] in
   let intervals = if quick then [ 0; 64 ] else [ 0; 16; 64; 512 ] in
+  let long = if quick then [ 16_000 ] else [ 16_000; 64_000 ] in
   Report.section "recovery_time"
     "restart cost vs log size and checkpoint interval (lib/store)";
-  let rows = sweep ~sizes ~intervals in
+  let rows = sweep ~sizes ~intervals @ default_segment_rows ~sizes:long in
   print_rows rows;
   (match json_path with
   | None -> ()

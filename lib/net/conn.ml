@@ -13,17 +13,19 @@
     Buffer ownership: the staging buffer and the payload scratch belong
     to the connection and are reused for its whole lifetime; the only
     per-message allocation on the batched path is whatever the codec
-    itself builds.  Reading is unchanged: the socket feeds an
-    incremental {!Crdt_wire.Frame.feed} and every complete frame is
-    surfaced.  Connections are used unidirectionally by the runtime:
+    itself builds.  Reading mirrors the outbound queue: {!recv} reads
+    the socket straight into the window of an incremental
+    {!Crdt_wire.Frame.feed} (no per-read copy) and surfaces every
+    complete frame, each payload copied once out of the window — the
+    same reader the store scans its segments with.  Connections are
+    used unidirectionally by the runtime:
     the dialing side writes, the accepting side reads — so a node's
     outbound traffic to peer [j] always travels on the connection it
     dialed to [j]. *)
 
 type t = {
   fd : Unix.file_descr;
-  feed : Crdt_wire.Frame.feed;
-  scratch : Bytes.t;  (** read chunk. *)
+  feed : Crdt_wire.Frame.feed;  (** inbound bytes, read in place. *)
   obuf : Buffer.t;  (** frame staging; drained into [wbuf] by flush. *)
   pbuf : Buffer.t;  (** payload scratch for {!stage_value}. *)
   mutable wbuf : Bytes.t;  (** outbound queue (staged but unwritten). *)
@@ -33,6 +35,9 @@ type t = {
   mutable alive : bool;
 }
 
+(* The most one [read(2)] asks for: the feed makes room for this much
+   before each read, so the inbound buffer holds one partial frame plus
+   at most one chunk. *)
 let read_chunk = 65536
 
 let create fd =
@@ -42,7 +47,6 @@ let create fd =
   {
     fd;
     feed = Crdt_wire.Frame.feed ();
-    scratch = Bytes.create read_chunk;
     obuf = Buffer.create 4096;
     pbuf = Buffer.create 512;
     wbuf = Bytes.create 4096;
@@ -161,12 +165,11 @@ let send t ~kind payload =
 let recv t =
   if not t.alive then Error `Closed
   else
-    match Unix.read t.fd t.scratch 0 read_chunk with
+    match Crdt_wire.Frame.refill t.feed ~max:read_chunk (Unix.read t.fd) with
     | 0 ->
         close t;
         Error `Closed
-    | n -> (
-        Crdt_wire.Frame.push t.feed (Bytes.sub_string t.scratch 0 n);
+    | _ -> (
         let rec drain acc =
           match Crdt_wire.Frame.pop t.feed with
           | Ok (Some frame) -> drain (frame :: acc)

@@ -15,7 +15,8 @@ let table =
          !c))
 
 (** [update crc s pos len] folds [len] bytes of [s] at [pos] into a
-    running value previously returned by [update] (start from 0). *)
+    running value previously returned by [update] or {!update_byte}
+    (start from 0). *)
 let update crc s pos len =
   let t = Lazy.force table in
   let c = ref (crc lxor 0xFFFFFFFF) in
@@ -25,7 +26,8 @@ let update crc s pos len =
   done;
   !c lxor 0xFFFFFFFF
 
-(** CRC-32 of [len] bytes of [s] starting at [pos]. *)
-let digest_sub s pos len = update 0 s pos len
-
-let digest s = digest_sub s 0 (String.length s)
+(** [update_byte crc b] folds the one byte [b] (0–255) into a running
+    value, as [update] would fold a one-character string. *)
+let update_byte crc b =
+  let c = crc lxor 0xFFFFFFFF in
+  (Lazy.force table).((c lxor b) land 0xFF) lxor (c lsr 8) lxor 0xFFFFFFFF

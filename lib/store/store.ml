@@ -1,8 +1,8 @@
 (* Append-only segment log with checkpoints; see store.mli and
    DESIGN.md §11 for the format contract.
 
-   Layout per record (reusing the wire framing so one decoder serves
-   both sockets and disk):
+   Layout per record (reusing the wire framing, so one reader —
+   {!Crdt_wire.Frame.feed} — serves both sockets and disk):
 
      magic 0xC5 | version | kind | varint len | crc32(body) BE 4B | body
 
@@ -71,12 +71,6 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)
 
@@ -90,17 +84,16 @@ type scan_acc = {
    whether it ended with a seal. *)
 type segment_end = { valid_len : int; sealed : bool }
 
-(* The record CRC covers the kind byte followed by the body, not the
-   body alone: the three kind values are one bit flip apart, and a
-   flipped kind reinterprets the record (a delta read back as a
-   checkpoint silently discards every delta before it), so the kind
-   must be under the checksum. *)
-let record_crc ~kind body =
-  let k = String.make 1 (Char.chr kind) in
-  Crc32.update (Crc32.digest k) body 0 (String.length body)
+(* The record CRC covers the kind byte followed by the body (the [len]
+   bytes of [s] at [pos]), not the body alone: the three kind values are
+   one bit flip apart, and a flipped kind reinterprets the record (a
+   delta read back as a checkpoint silently discards every delta before
+   it), so the kind must be under the checksum. *)
+let record_crc ~kind s pos len = Crc32.update (Crc32.update_byte 0 kind) s pos len
 
-(* Validate one record payload: 4-byte big-endian CRC over kind ‖ body.
-   Returns the body or [None] on mismatch/short payload. *)
+(* Validate one record payload: 4-byte big-endian CRC over kind ‖ body,
+   checked in place.  Returns the body, copied once, or [None] on
+   mismatch/short payload. *)
 let check_record ~kind payload =
   let len = String.length payload in
   if len < 4 then None
@@ -111,18 +104,27 @@ let check_record ~kind payload =
       lor (Char.code payload.[2] lsl 8)
       lor Char.code payload.[3]
     in
-    let body = String.sub payload 4 (len - 4) in
-    if record_crc ~kind body = crc then Some body else None
+    if record_crc ~kind payload 4 (len - 4) = crc then
+      Some (String.sub payload 4 (len - 4))
+    else None
 
-(* Scan one segment's records into [acc].  A damaged suffix is
-   tolerated only in the final segment (the only place a crash can tear
-   a record): everything from the first invalid byte is dropped and
-   counted.  Elsewhere it raises {!Corrupt}. *)
+(* Bytes asked of the file per read: with the feed's window this bounds
+   a scan's buffer by the largest record plus one chunk. *)
+let read_chunk = 65536
+
+(* Scan one segment's records into [acc], streaming the file through a
+   {!Frame.feed} in one pass.  A damaged suffix is tolerated only in
+   the final segment (the only place a crash can tear a record):
+   everything from the first invalid byte is dropped and counted.
+   Elsewhere it raises {!Corrupt}. *)
 let scan_segment ~path ~final acc =
-  let s = read_file path in
-  let total = String.length s in
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let total = (Unix.fstat fd).Unix.st_size in
   let feed = Frame.feed () in
-  Frame.push feed s;
+  let taken = ref 0 in
+  (* Segment offset of the first byte not yet popped. *)
+  let offset () = !taken - Frame.pending_bytes feed in
   let invalid why before =
     if final then begin
       acc.s_truncated <- acc.s_truncated + (total - before);
@@ -134,34 +136,39 @@ let scan_segment ~path ~final acc =
            (Printf.sprintf "%s: %s at offset %d in non-final segment" path why
               before))
   in
-  let rec go before =
-    if Frame.pending_bytes feed = 0 then { valid_len = total; sealed = false }
-    else
-      match Frame.pop feed with
-      | Ok None -> invalid "torn record" before
-      | Error e -> invalid (Codec.error_to_string e) before
-      | Ok (Some (kind, payload)) -> (
-          let after = total - Frame.pending_bytes feed in
-          match check_record ~kind payload with
-          | None -> invalid "record CRC mismatch" before
-          | Some body ->
-              if kind = kind_delta then begin
-                acc.s_deltas <- body :: acc.s_deltas;
-                go after
-              end
-              else if kind = kind_checkpoint then begin
-                acc.s_checkpoint <- Some body;
-                acc.s_deltas <- [];
-                go after
-              end
-              else if kind = kind_seal then
-                if Frame.pending_bytes feed = 0 then
-                  { valid_len = total; sealed = true }
-                else invalid "records after segment seal" after
-              else invalid (Printf.sprintf "unknown record kind 0x%02x" kind)
-                     before)
+  let rec go () =
+    let before = offset () in
+    match Frame.pop feed with
+    | Ok None ->
+        let n = Frame.refill feed ~max:read_chunk (Unix.read fd) in
+        if n > 0 then begin
+          taken := !taken + n;
+          go ()
+        end
+        else if Frame.pending_bytes feed = 0 then
+          { valid_len = before; sealed = false }
+        else invalid "torn record" before
+    | Error e -> invalid (Codec.error_to_string e) before
+    | Ok (Some (kind, payload)) -> (
+        match check_record ~kind payload with
+        | None -> invalid "record CRC mismatch" before
+        | Some body ->
+            if kind = kind_delta then begin
+              acc.s_deltas <- body :: acc.s_deltas;
+              go ()
+            end
+            else if kind = kind_checkpoint then begin
+              acc.s_checkpoint <- Some body;
+              acc.s_deltas <- [];
+              go ()
+            end
+            else if kind = kind_seal then
+              if offset () = total then { valid_len = total; sealed = true }
+              else invalid "records after segment seal" (offset ())
+            else
+              invalid (Printf.sprintf "unknown record kind 0x%02x" kind) before)
   in
-  go 0
+  go ()
 
 (* Full-directory scan: recovery image plus writer positioning for the
    final segment ([None] when the directory holds no segments). *)
@@ -243,7 +250,7 @@ let write_buf t =
 let emit_record t ~kind body =
   Buffer.clear t.buf;
   Frame.add_header t.buf ~kind ~payload_len:(4 + String.length body);
-  let crc = record_crc ~kind body in
+  let crc = record_crc ~kind body 0 (String.length body) in
   Buffer.add_char t.buf (Char.chr ((crc lsr 24) land 0xFF));
   Buffer.add_char t.buf (Char.chr ((crc lsr 16) land 0xFF));
   Buffer.add_char t.buf (Char.chr ((crc lsr 8) land 0xFF));

@@ -56,7 +56,14 @@ exception Corrupt of string
 
 val read : dir:string -> recovery
 (** Read-only recovery scan of [dir] (which may not exist — that is an
-    empty store).  Does not modify the directory. *)
+    empty store).  Does not modify the directory.  One pass: each
+    segment streams from its file through one {!Crdt_wire.Frame.feed},
+    so the time is linear in the log, and the memory beyond the bodies
+    returned is bounded by the largest record plus one 64 KiB read
+    chunk, whatever the segment size. *)
+
+val default_segment_bytes : int
+(** 4 MiB: the roll threshold {!open_} uses unless told otherwise. *)
 
 type t
 (** An open store with an active segment accepting appends. *)
@@ -64,9 +71,11 @@ type t
 val open_ : ?segment_bytes:int -> ?fsync:fsync_policy -> dir:string -> unit
   -> t * recovery
 (** Open (creating [dir] if needed) and recover: scans existing
-    segments, physically truncates a torn tail off the final segment,
+    segments in the one pass {!read} makes (same time and memory
+    bounds), physically truncates a torn tail off the final segment,
     and positions the writer after the last valid record.
-    [segment_bytes] (default 4 MiB) is the roll threshold. *)
+    [segment_bytes] (default {!default_segment_bytes}) is the roll
+    threshold. *)
 
 val append_delta : t -> string -> unit
 (** Append one wire-encoded delta body.  Durability per the store's

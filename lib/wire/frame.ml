@@ -66,24 +66,76 @@ let encode ~kind payload =
 (* ------------------------------------------------------------------ *)
 (* Incremental decoding (for byte streams)                             *)
 
-(** A feed accumulates stream chunks and yields complete frames.  Any
-    error is sticky: a framing violation means the stream is garbage
-    from that point on, so the connection should be dropped. *)
+(** A feed accumulates stream bytes and yields complete frames.  It is
+    the read-side twin of [Conn]'s outbound queue: the unread bytes are
+    the window [[pos, len)] of one growable buffer.  {!push} appends a
+    chunk and {!refill} reads straight into the window; {!pop} parses
+    the frame at [pos] and only advances it, so a frame costs its own
+    bytes and nothing of what follows it.  Room is made by sliding the
+    unread tail to the front before growing, and a drained window
+    restarts at 0.  A caller that pops every complete frame before
+    adding more (as [Conn] and the store do) therefore keeps at most
+    one partial frame plus the chunk being added: the buffer stays
+    within twice the largest frame plus one chunk, whatever the
+    stream's length.  Any error is sticky: a framing violation means
+    the stream is garbage from that point on, so the connection should
+    be dropped. *)
 type feed = {
-  mutable pending : string;
+  mutable buf : Bytes.t;
+  mutable pos : int;  (** first unread byte. *)
+  mutable len : int;  (** end of the buffered bytes. *)
   max_payload : int;
   mutable failed : Codec.error option;
 }
 
 let feed ?(max_payload = default_max_payload) () =
-  { pending = ""; max_payload; failed = None }
+  { buf = Bytes.empty; pos = 0; len = 0; max_payload; failed = None }
+
+(* Make room for [extra] more bytes at [len]: move the unread window to
+   the front of the buffer, or of a doubled one if it would still be
+   short.  Either copies only the unread bytes. *)
+let reserve t extra =
+  if t.len + extra > Bytes.length t.buf then begin
+    let live = t.len - t.pos in
+    if live + extra > Bytes.length t.buf then begin
+      let cap = ref (max 4096 (Bytes.length t.buf)) in
+      while live + extra > !cap do
+        cap := !cap * 2
+      done;
+      let grown = Bytes.create !cap in
+      Bytes.blit t.buf t.pos grown 0 live;
+      t.buf <- grown
+    end
+    else Bytes.blit t.buf t.pos t.buf 0 live;
+    t.pos <- 0;
+    t.len <- live
+  end
 
 let push t chunk =
-  if t.failed = None && String.length chunk > 0 then
-    t.pending <-
-      (if String.length t.pending = 0 then chunk else t.pending ^ chunk)
+  let n = String.length chunk in
+  if t.failed = None && n > 0 then begin
+    reserve t n;
+    Bytes.blit_string chunk 0 t.buf t.len n;
+    t.len <- t.len + n
+  end
 
-let pending_bytes t = String.length t.pending
+(** [refill t ~max read] calls [read buf off n] once, with [n <= max],
+    to append up to [n] bytes at [buf.[off]] — [Unix.read fd] fits —
+    and returns what it returned: the byte count, 0 at end of input.
+    An exception from [read] propagates and leaves the buffered bytes
+    as they were.  After a framing error the bytes read are dropped,
+    as {!push} drops its chunks. *)
+let refill t ~max read =
+  reserve t max;
+  let n = read t.buf t.len max in
+  if t.failed = None then t.len <- t.len + n;
+  n
+
+let pending_bytes t = t.len - t.pos
+
+let fail t e =
+  t.failed <- Some e;
+  Error e
 
 (** [pop t] is [Ok (Some (kind, payload))] when a complete frame is
     buffered, [Ok None] when more input is needed, and [Error _] when
@@ -92,40 +144,41 @@ let pop t =
   match t.failed with
   | Some e -> Error e
   | None -> (
-      let fail e =
-        t.failed <- Some e;
-        Error e
-      in
-      let r = Codec.reader t.pending in
-      if Codec.remaining r < 3 then Ok None
+      if t.len - t.pos < 3 then Ok None
       else
-        let b0 = Char.code t.pending.[0] in
-        let b1 = Char.code t.pending.[1] in
+        let b0 = Char.code (Bytes.get t.buf t.pos) in
+        let b1 = Char.code (Bytes.get t.buf (t.pos + 1)) in
         if b0 <> magic then
-          fail (Codec.Malformed (Printf.sprintf "bad frame magic 0x%02x" b0))
+          fail t (Codec.Malformed (Printf.sprintf "bad frame magic 0x%02x" b0))
         else if b1 <> version then
-          fail
+          fail t
             (Codec.Malformed
                (Printf.sprintf "unsupported wire version %d (expected %d)" b1
                   version))
         else begin
-          let kind = Char.code t.pending.[2] in
-          r.Codec.pos <- 3;
+          let kind = Char.code (Bytes.get t.buf (t.pos + 2)) in
+          (* The reader only looks at the window while [t] is not
+             written, so it may share the buffer's bytes. *)
+          let r =
+            Codec.reader ~pos:(t.pos + 3) ~len:(t.len - t.pos - 3)
+              (Bytes.unsafe_to_string t.buf)
+          in
           match Codec.read_varint r with
           | Error Codec.Truncated -> Ok None (* length prefix incomplete *)
-          | Error e -> fail e
+          | Error e -> fail t e
           | Ok len ->
               if len < 0 || len > t.max_payload then
-                fail
+                fail t
                   (Codec.Malformed
                      (Printf.sprintf "frame payload length %d exceeds cap" len))
               else if Codec.remaining r < len then Ok None
               else begin
-                let payload = String.sub t.pending r.Codec.pos len in
-                let consumed = r.Codec.pos + len in
-                t.pending <-
-                  String.sub t.pending consumed
-                    (String.length t.pending - consumed);
+                let payload = Bytes.sub_string t.buf r.Codec.pos len in
+                t.pos <- r.Codec.pos + len;
+                if t.pos = t.len then begin
+                  t.pos <- 0;
+                  t.len <- 0
+                end;
                 Ok (Some (kind, payload))
               end
         end)
@@ -138,5 +191,5 @@ let decode s =
   | Error _ as e -> e
   | Ok None -> Error Codec.Truncated
   | Ok (Some (kind, payload)) ->
-      if String.length t.pending = 0 then Ok (kind, payload)
+      if pending_bytes t = 0 then Ok (kind, payload)
       else Error (Codec.Malformed "trailing bytes after frame")

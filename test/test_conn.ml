@@ -1,7 +1,9 @@
 (* Socket-level tests for the batched connection layer (lib/net/conn)
    over real socketpairs: write coalescing (many staged frames, one
    write(2)), partial-write queueing and draining under a congested
-   socket, and dead-peer error reporting.  These pin the Conn contract
+   socket, dead-peer error reporting, and reads that split frames
+   (more than one read chunk at once, a frame cut by EAGAIN) surfacing
+   each frame once, in one linear pass.  These pin the Conn contract
    the runtime's event loop relies on, and the select and epoll event
    loops are checked against each other over the same sockets; the
    end-to-end cluster behavior is in test_net_convergence.ml. *)
@@ -162,6 +164,83 @@ let recv_tests =
         | Ok _ | Error (`Bad _) -> Alcotest.fail "EOF not reported as Closed");
         check "closed on EOF" false (Conn.alive conn);
         Conn.close conn);
+    Alcotest.test_case "more than a read chunk: every frame once, in order"
+      `Quick (fun () ->
+        let a, b = socketpair () in
+        let conn = Conn.create a in
+        let n = 4_000 in
+        let frames = List.init n (fun i -> Frame.encode ~kind:(i mod 3) (payload i)) in
+        let stream = String.concat "" frames in
+        (* The 64 KiB read chunk must cut a frame: some frame starts
+           before byte 65 536 and ends after it. *)
+        let straddles =
+          fst
+            (List.fold_left
+               (fun (found, at) f ->
+                 let next = at + String.length f in
+                 (found || (at < 65536 && next > 65536), next))
+               (false, 0) frames)
+        in
+        check "a frame straddles the read-chunk boundary" true straddles;
+        check "the stream exceeds one read chunk" true
+          (String.length stream > 65536);
+        let w = Unix.write_substring b stream 0 (String.length stream) in
+        check_int "test stream fits the socket buffer" (String.length stream) w;
+        let before = Gc.allocated_bytes () in
+        let rec go acc reads =
+          if List.length acc >= n || reads > 100 then (List.rev acc, reads)
+          else
+            match Conn.recv conn with
+            | Ok got -> go (List.rev_append got acc) (reads + 1)
+            | Error `Closed -> Alcotest.fail "recv: closed"
+            | Error (`Bad e) ->
+                Alcotest.failf "recv: %s" (Crdt_wire.Codec.error_to_string e)
+        in
+        let got, reads = go [] 0 in
+        let per_byte =
+          (Gc.allocated_bytes () -. before) /. float (String.length stream)
+        in
+        check "took more than one read" true (reads > 1);
+        Alcotest.(check (list (pair int string)))
+          "every frame exactly once, in order"
+          (List.init n (fun i -> (i mod 3, payload i)))
+          got;
+        check
+          (Printf.sprintf "recv allocates %.1f B per input byte (< 32)"
+             per_byte)
+          true (per_byte < 32.);
+        (match Conn.recv conn with
+        | Ok [] -> ()
+        | Ok _ -> Alcotest.fail "a frame surfaced twice"
+        | Error _ -> Alcotest.fail "recv failed on an idle socket");
+        Conn.close conn;
+        Unix.close b);
+    Alcotest.test_case "a frame cut by EAGAIN comes out whole" `Quick
+      (fun () ->
+        let a, b = socketpair () in
+        let conn = Conn.create a in
+        let big = String.make 10_000 'h' in
+        let frame = Frame.encode ~kind:4 big in
+        let half = String.length frame / 2 in
+        let write s = ignore (Unix.write_substring b s 0 (String.length s)) in
+        write (String.sub frame 0 half);
+        let expect_none what =
+          match Conn.recv conn with
+          | Ok [] -> ()
+          | Ok _ -> Alcotest.failf "%s: a partial frame surfaced" what
+          | Error _ -> Alcotest.failf "%s: recv failed" what
+        in
+        expect_none "first half";
+        (* Nothing more to read: the socket reports EAGAIN. *)
+        expect_none "EAGAIN";
+        check "still alive after EAGAIN" true (Conn.alive conn);
+        write (String.sub frame half (String.length frame - half));
+        (match Conn.recv conn with
+        | Ok [ (4, p) ] -> Alcotest.(check string) "whole payload" big p
+        | Ok got -> Alcotest.failf "expected one frame, got %d" (List.length got)
+        | Error _ -> Alcotest.fail "recv failed on the second half");
+        Conn.close conn;
+        Unix.close b);
   ]
 
 (* Select and epoll must report the same readiness for the same

@@ -14,6 +14,13 @@
      the previous checkpoint and the deltas after it fully recoverable;
    - corruption in a sealed (non-final) segment is refused loudly
      ({!Store.Corrupt}), never silently skipped;
+   - the on-disk bytes are pinned: a golden checkpoint + delta + seal
+     segment reads back to the same recovery, and the writer still
+     produces it byte for byte;
+   - a scan is one linear pass: reading a default-size segment of
+     20 000 records allocates a bounded number of bytes per log byte
+     (a reader that re-copies the unread rest per record allocates
+     thousands);
    - image policy: {!Store.Image} over a real lattice persists Δ
      against the last image, checkpoints every N deltas, recovers
      exactly the last persisted state, and refuses a record that does
@@ -255,9 +262,88 @@ let test_corrupt_sealed_segment () =
         | _ -> false
         | exception Store.Corrupt _ -> true))
 
-(* -- image policy --------------------------------------------------------- *)
+(* -- on-disk format -------------------------------------------------------- *)
 
 module G = Crdt_core.Gset.Of_int
+
+(* One sealed segment as the writer laid it down: a checkpoint of a
+   100-element GSet (its two-byte length varint included), a delta
+   {-5, 1000} and the seal that ends the segment.  Any change to the
+   framing, the kind bytes, the CRC or its coverage breaks this. *)
+let golden_segment =
+  "c50111cb01edd50c3c64004a9401de01a802f202bc038604d0049a05e405ae06f806c2078c\
+   08d608a009ea09b40afe0ac80b920cdc0ca60df00dba0e840fce0f9810e210ac11f611c012\
+   8a13d4139e14e814b215fc15c6169017da17a418ee18b819821acc1a961be01baa1cf41cbe\
+   1d881ed21e9c1fe61fb020fa20c4218e22d822a223ec23b6248025ca259426de26a827f227\
+   bc288629d0299a2ae42aae2bf82bc22c8c2dd62da02eea2eb42ffe2fc8309231dc31a632f0\
+   32ba338434ce349835e235ac36f636c0378a38d4389e39c5011008129d4b150209d00fc501\
+   120421bb9ec5"
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let golden_checkpoint =
+  Crdt_wire.Codec.encode_to_string G.codec
+    (G.of_list (List.init 100 (fun i -> i * 37)))
+
+let golden_delta = Crdt_wire.Codec.encode_to_string G.codec (G.of_list [ 1000; -5 ])
+
+let test_golden_read () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      write_file
+        (Filename.concat dir "segment-0000000000000000.log")
+        (of_hex golden_segment);
+      let r = Store.read ~dir in
+      check "checkpoint body" true (r.Store.checkpoint = Some golden_checkpoint);
+      check_deltas "delta bodies" [ golden_delta ] r.Store.deltas;
+      check_int "replayed_records" 1 r.Store.replayed_records;
+      check_int "replayed_bytes" (String.length golden_delta)
+        r.Store.replayed_bytes;
+      check_int "checkpoint_bytes"
+        (String.length golden_checkpoint)
+        r.Store.checkpoint_bytes;
+      check_int "truncated_bytes" 0 r.Store.truncated_bytes;
+      check_int "segments" 1 r.Store.segments)
+
+let test_golden_write () =
+  with_dir (fun dir ->
+      (* A 1-byte roll threshold seals the segment after its first delta. *)
+      let store, _ = Store.open_ ~segment_bytes:1 ~dir () in
+      Store.checkpoint store golden_checkpoint;
+      Store.append_delta store golden_delta;
+      Store.close store;
+      Alcotest.(check string)
+        "the writer lays down the golden bytes" (of_hex golden_segment)
+        (read_file (Filename.concat dir "segment-0000000000000000.log")))
+
+(* -- linear scan ---------------------------------------------------------- *)
+
+let test_linear_read () =
+  with_dir (fun dir ->
+      let n = 20_000 in
+      let bodies =
+        List.init n (fun i ->
+            Printf.sprintf "delta-%06d-%s" i (String.make (i mod 23) 'x'))
+      in
+      let store, _ = Store.open_ ~dir () in
+      List.iter (Store.append_delta store) bodies;
+      Store.close store;
+      check_int "one default-size segment" 1 (List.length (segment_files dir));
+      let log_bytes =
+        file_size (Filename.concat dir (List.hd (segment_files dir)))
+      in
+      let before = Gc.allocated_bytes () in
+      let r = Store.read ~dir in
+      let per_byte = (Gc.allocated_bytes () -. before) /. float log_bytes in
+      check_deltas "every body, in order" bodies r.Store.deltas;
+      check
+        (Printf.sprintf "read allocates %.1f B per log byte (< 32)" per_byte)
+        true (per_byte < 32.))
+
+(* -- image policy --------------------------------------------------------- *)
+
 module Image = Store.Image (G)
 
 let rid = Crdt_core.Replica_id.of_int 0
@@ -400,6 +486,18 @@ let () =
         [
           Alcotest.test_case "mid-file damage raises Corrupt" `Quick
             test_corrupt_sealed_segment;
+        ] );
+      ( "on-disk format",
+        [
+          Alcotest.test_case "the golden segment reads back" `Quick
+            test_golden_read;
+          Alcotest.test_case "the writer still produces the golden segment"
+            `Quick test_golden_write;
+        ] );
+      ( "linear scan",
+        [
+          Alcotest.test_case "20 000 records in one segment, one pass" `Quick
+            test_linear_read;
         ] );
       ( "image policy",
         [

@@ -16,7 +16,11 @@
    - robustness: decoders are total — strict prefixes and bit-flipped
      inputs return [Error] or a different value but never raise, corrupt
      length prefixes are rejected before allocating, oversized frames
-     are refused by the framing layer. *)
+     are refused by the framing layer;
+
+   - the frame feed reads linearly: popping a long stream allocates a
+     bounded number of bytes per input byte, and {!Frame.refill} yields
+     the same frames whatever sizes its reads return. *)
 
 open Crdt_core
 module Codec = Crdt_wire.Codec
@@ -836,6 +840,127 @@ let adversarial_tests =
            true));
   ]
 
+(* -- the feed's window ---------------------------------------------------- *)
+
+let feed_payload i =
+  Printf.sprintf "frame-%06d-%s" i (String.make (i mod 29) 'f')
+
+(* Every frame [pop] yields until it needs more input. *)
+let drain_feed feed =
+  let rec go acc =
+    match Frame.pop feed with
+    | Ok (Some frame) -> go (frame :: acc)
+    | Ok None -> List.rev acc
+    | Error e -> Alcotest.failf "feed: %s" (Codec.error_to_string e)
+  in
+  go []
+
+(* A reader over [stream] for {!Frame.refill} that hands out at most
+   [step] bytes per call, 0 once the stream is exhausted. *)
+let chunked_reader stream step =
+  let at = ref 0 in
+  fun buf off n ->
+    let k = min (min step n) (String.length stream - !at) in
+    Bytes.blit_string stream !at buf off k;
+    at := !at + k;
+    k
+
+let feed_tests =
+  [
+    Alcotest.test_case "20 000 frames in one chunk pop in one linear pass"
+      `Quick (fun () ->
+        let n = 20_000 in
+        let buf = Buffer.create (n * 40) in
+        for i = 0 to n - 1 do
+          Frame.encode_into buf ~kind:(i mod 5) (feed_payload i)
+        done;
+        let stream = Buffer.contents buf in
+        let feed = Frame.feed () in
+        Frame.push feed stream;
+        let got = Array.make n (0, "") in
+        let before = Gc.allocated_bytes () in
+        let rec pop_all i =
+          match Frame.pop feed with
+          | Ok (Some frame) ->
+              got.(i) <- frame;
+              pop_all (i + 1)
+          | Ok None -> i
+          | Error e -> Alcotest.failf "feed: %s" (Codec.error_to_string e)
+        in
+        let popped = pop_all 0 in
+        let per_byte =
+          (Gc.allocated_bytes () -. before) /. float (String.length stream)
+        in
+        check_int "every frame popped" n popped;
+        Array.iteri
+          (fun i (kind, p) ->
+            if kind <> i mod 5 || p <> feed_payload i then
+              Alcotest.failf "frame %d out of order" i)
+          got;
+        check_int "nothing pending" 0 (Frame.pending_bytes feed);
+        check
+          (Printf.sprintf "pops allocate %.1f B per input byte (< 32)" per_byte)
+          true (per_byte < 32.));
+    Alcotest.test_case "refill yields the same frames at every read size"
+      `Quick (fun () ->
+        (* Empty, small and larger-than-a-chunk payloads, so frames
+           straddle every read boundary and the window must grow. *)
+        let payloads =
+          List.init 300 (fun i ->
+              if i = 150 then String.make 100_000 'L'
+              else if i mod 50 = 0 then ""
+              else feed_payload i)
+        in
+        let stream =
+          String.concat ""
+            (List.mapi (fun i p -> Frame.encode ~kind:(i mod 3) p) payloads)
+        in
+        let expected = List.mapi (fun i p -> (i mod 3, p)) payloads in
+        for step = 1 to 17 do
+          let feed = Frame.feed () in
+          let read = chunked_reader stream step in
+          let rec go acc =
+            match Frame.refill feed ~max:4096 read with
+            | 0 -> List.concat (List.rev acc)
+            | k ->
+                check "a read returns at most its step" true (k <= step);
+                go (drain_feed feed :: acc)
+          in
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "%d-byte reads" step)
+            expected (go []);
+          check_int
+            (Printf.sprintf "%d-byte reads leave nothing pending" step)
+            0 (Frame.pending_bytes feed)
+        done);
+    Alcotest.test_case "a raising reader leaves the buffered bytes intact"
+      `Quick (fun () ->
+        let first = Frame.encode ~kind:1 "first" in
+        let second = Frame.encode ~kind:2 (String.make 5000 's') in
+        let feed = Frame.feed () in
+        (* One whole frame and half of the next: popping the first moves
+           the window off 0, so the next refill must slide and grow it. *)
+        Frame.push feed (first ^ String.sub second 0 2500);
+        Alcotest.(check (list (pair int string)))
+          "the whole frame pops" [ (1, "first") ] (drain_feed feed);
+        let pending = Frame.pending_bytes feed in
+        (match
+           Frame.refill feed ~max:65536 (fun buf off _ ->
+               Bytes.fill buf off 8 'X';
+               failwith "read failed")
+         with
+        | _ -> Alcotest.fail "the reader's exception was swallowed"
+        | exception Failure _ -> ());
+        check_int "pending bytes unchanged" pending (Frame.pending_bytes feed);
+        let rest = String.sub second 2500 (String.length second - 2500) in
+        let n = Frame.refill feed ~max:65536 (chunked_reader rest 65536) in
+        check_int "the rest is read" (String.length rest) n;
+        Alcotest.(check (list (pair int string)))
+          "the straddling frame pops whole"
+          [ (2, String.make 5000 's') ]
+          (drain_feed feed));
+  ]
+
 (* -- vclock -------------------------------------------------------------- *)
 
 let vclock_tests =
@@ -880,5 +1005,6 @@ let () =
       ("messages", message_tests);
       ("corruption fuzz", corruption_tests);
       ("adversarial", adversarial_tests);
+      ("feed", feed_tests);
       ("vclock", vclock_tests);
     ]
